@@ -13,14 +13,26 @@ deterministic approximation of a GPT-style byte-pair tokenizer:
 
 Only relative binning matters for the reproduction, not the absolute
 vocabulary.
+
+Counting is *line-additive*: every ``str.splitlines`` boundary is a
+whitespace character, so no token spans one, and a text's count is the
+sum of its lines' counts.  :func:`count_tokens` exploits this with a
+bounded per-line memo — a sweep re-counts the same context lines for
+every prompt of a theorem.
 """
 
 from __future__ import annotations
 
 import re
-from typing import List
+from typing import Dict, List, Sequence
 
-__all__ = ["count_tokens", "tokenize", "LENGTH_BINS", "bin_of_length"]
+__all__ = [
+    "count_tokens",
+    "line_token_counts",
+    "tokenize",
+    "LENGTH_BINS",
+    "bin_of_length",
+]
 
 _TOKEN_RE = re.compile(r"[A-Za-z0-9_']+|\n|[^\sA-Za-z0-9_']")
 _WORD_CHUNK = 4
@@ -46,9 +58,34 @@ def tokenize(text: str) -> List[str]:
     return out
 
 
+# Line -> token count.  Values are pure functions of their keys, so
+# concurrent readers/writers (pipelined search threads) can at worst
+# recompute an entry; clearing when full bounds the memory.
+_LINE_TOKENS: Dict[str, int] = {}
+_LINE_MEMO_MAX = 1 << 14
+
+
+def line_token_counts(lines: Sequence[str]) -> List[int]:
+    """The token count of each of ``lines`` (memoized per line)."""
+    memo = _LINE_TOKENS
+    out: List[int] = []
+    for line in lines:
+        n = memo.get(line)
+        if n is None:
+            n = len(tokenize(line))
+            if len(memo) >= _LINE_MEMO_MAX:
+                memo.clear()
+            memo[line] = n
+        out.append(n)
+    return out
+
+
 def count_tokens(text: str) -> int:
-    """The approximate token length of ``text``."""
-    return len(tokenize(text))
+    """The approximate token length of ``text``.
+
+    Equal to ``len(tokenize(text))``, summed line by line.
+    """
+    return sum(line_token_counts(text.splitlines(keepends=True)))
 
 
 def bin_of_length(tokens: int) -> int:

@@ -34,7 +34,36 @@ class TypeError_(KernelError):
 
 
 class UnificationError(KernelError):
-    """Two terms (or types) could not be unified."""
+    """Two terms (or types) could not be unified.
+
+    :meth:`mismatch` builds the ``cannot unify A with B`` failure from
+    the two terms and renders that message only when it is read:
+    ``auto``/``eauto`` try many unifications and discard nearly every
+    failure, so eager pretty-printing was wasted work.  Rendering is a
+    pure function of the (immutable) terms, so a message read later is
+    the one an eager build would have made.
+    """
+
+    _terms: tuple = ()  # (left, right) until the message is rendered
+
+    @classmethod
+    def mismatch(cls, left: object, right: object) -> "UnificationError":
+        error = cls()
+        error._terms = (left, right)
+        return error
+
+    def __str__(self) -> str:
+        if self._terms:
+            left, right = self._terms
+            self.args = (f"cannot unify {left} with {right}",)
+            self._terms = ()
+        return super().__str__()
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({str(self)!r})"
+
+    def __reduce__(self) -> tuple:
+        return (type(self), (str(self),))
 
 
 class ReductionError(KernelError):

@@ -21,6 +21,8 @@ class UsageMeter:
     output_tokens: int = 0
 
     def record_query(self, prompt: str, k: int) -> None:
+        # The prompt's lines were counted when it was built, so this is
+        # mostly line-memo lookups (see repro.corpus.tokenizer).
         self.queries += 1
         self.prompt_tokens += count_tokens(prompt)
 

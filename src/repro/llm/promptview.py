@@ -165,7 +165,7 @@ def idents(text: str) -> Set[str]:
     return set(_IDENT_RE.findall(text))
 
 
-_CONTEXT_CACHE: Dict[int, tuple] = {}
+_CONTEXT_CACHE: Dict[str, tuple] = {}
 
 
 def _parse_context(context: str) -> tuple:
@@ -173,10 +173,10 @@ def _parse_context(context: str) -> tuple:
 
     The search queries the model up to 128 times per theorem with the
     same context prefix; caching its parse keeps query latency low
-    without changing what the model can see.
+    without changing what the model can see.  The key is the text
+    itself, so two contexts whose hashes collide never share a parse.
     """
-    key = hash(context)
-    cached = _CONTEXT_CACHE.get(key)
+    cached = _CONTEXT_CACHE.get(context)
     if cached is not None:
         return cached
     lemmas: Dict[str, LemmaView] = {}
@@ -212,7 +212,7 @@ def _parse_context(context: str) -> tuple:
     result = (lemmas, definitions, fixpoints, inductive_preds)
     if len(_CONTEXT_CACHE) > 64:
         _CONTEXT_CACHE.clear()
-    _CONTEXT_CACHE[key] = result
+    _CONTEXT_CACHE[context] = result
     return result
 
 

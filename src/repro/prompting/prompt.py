@@ -39,7 +39,7 @@ from repro.corpus.loader import Project
 from repro.corpus.model import Theorem
 from repro.kernel.goals import ProofState
 from repro.prompting.context import context_for, reduced_context_for
-from repro.prompting.truncation import truncate_to_window
+from repro.prompting.truncation import count_lines, truncate_to_window
 
 __all__ = ["PromptBuilder", "GOAL_HEADER", "THEOREM_HEADER"]
 
@@ -69,6 +69,9 @@ class PromptBuilder:
             self._context = context_for(
                 self.project, self.theorem, self.hint_names
             )
+        # Constant for every prompt this builder makes: count it once so
+        # build() tokenizes only what follows it.
+        self._counted_context = count_lines(self._context + "\n")
 
     def build(self, state: ProofState, steps: Sequence[str]) -> str:
         """The prompt for predicting the next tactic at ``state``."""
@@ -90,5 +93,7 @@ class PromptBuilder:
             parts.append(f"(* sample {self.attempt_salt} *)")
         prompt = "\n".join(parts)
         if self.window_tokens is not None:
-            prompt = truncate_to_window(prompt, self.window_tokens)
+            prompt = truncate_to_window(
+                prompt, self.window_tokens, self._counted_context
+            )
         return prompt
