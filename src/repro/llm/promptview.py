@@ -24,10 +24,9 @@ _LEMMA_RE = re.compile(
     r"^(?:Lemma|Theorem|Axiom)\s+(\w+)\s*:\s*(.*?)\.\s*$",
     re.MULTILINE | re.DOTALL,
 )
-_PROOF_RE = re.compile(
-    r"Lemma\s+(\w+)\s*:.*?\.\nProof\.\n(.*?)\nQed\.",
-    re.DOTALL,
-)
+_LEMMA_HEADER_RE = re.compile(r"Lemma\s+(\w+)\s*:")
+_PROOF_OPEN = ".\nProof.\n"
+_PROOF_CLOSE = "\nQed."
 _DEFINITION_RE = re.compile(r"^Definition\s+(\w+)", re.MULTILINE)
 _FIXPOINT_RE = re.compile(r"^Fixpoint\s+(\w+)", re.MULTILINE)
 _INDUCTIVE_RE = re.compile(
@@ -165,6 +164,60 @@ def idents(text: str) -> Set[str]:
     return set(_IDENT_RE.findall(text))
 
 
+def _hinted_proofs(context: str) -> List[Tuple[str, str]]:
+    r"""Every ``(name, body)`` of a hinted proof, in text order.
+
+    Exactly the matches of
+    ``Lemma\s+(\w+)\s*:.*?\.\nProof\.\n(.*?)\nQed\.`` under
+    ``re.DOTALL``, found in one pass: from each ``Lemma`` whose header
+    matches, the first ``.\nProof.\n`` after the colon, then the first
+    ``\nQed.`` after that.  The regex's lazy ``.*?`` would instead walk
+    to the end of the text from every ``Lemma`` that no hinted proof
+    follows.  A later header's colon is never before an earlier one's,
+    so once either marker is missing no later ``Lemma`` can match.
+
+    Like the regex, a stripped lemma (``Proof. (* ... *) Qed.``) takes
+    the next hinted lemma's proof as its own.
+    """
+    found: List[Tuple[str, str]] = []
+    start = context.find("Lemma")
+    while start >= 0:
+        header = _LEMMA_HEADER_RE.match(context, start)
+        if header is None:
+            start = context.find("Lemma", start + 1)
+            continue
+        opened = context.find(_PROOF_OPEN, header.end())
+        if opened < 0:
+            break
+        body = opened + len(_PROOF_OPEN)
+        closed = context.find(_PROOF_CLOSE, body)
+        if closed < 0:
+            break
+        found.append((header.group(1), context[body:closed]))
+        start = context.find("Lemma", closed + len(_PROOF_CLOSE))
+    return found
+
+
+# (conclusion, head, is_equation, binders) per statement text: pure
+# functions of the key, so racing threads can only recompute an entry.
+_STATEMENT_FIELDS: Dict[str, tuple] = {}
+_STATEMENT_MEMO_MAX = 1 << 12
+
+
+def _lemma_view(name: str, statement: str) -> LemmaView:
+    """A fresh view (its ``proof`` is per context) from memoized fields."""
+    fields = _STATEMENT_FIELDS.get(statement)
+    if fields is None:
+        conclusion = _conclusion_of(statement)
+        head, is_eq = _head_of(conclusion)
+        fields = (conclusion, head, is_eq, _binder_names(statement))
+        if len(_STATEMENT_FIELDS) >= _STATEMENT_MEMO_MAX:
+            _STATEMENT_FIELDS.clear()
+        _STATEMENT_FIELDS[statement] = fields
+    conclusion, head, is_eq, binders = fields
+    return LemmaView(name, statement, conclusion, head, is_eq, binders=binders)
+
+
 _CONTEXT_CACHE: Dict[str, tuple] = {}
 
 
@@ -184,25 +237,15 @@ def _parse_context(context: str) -> tuple:
         name, statement = match.group(1), " ".join(match.group(2).split())
         if statement.endswith("Proof. (* ... *) Qed") or "Proof" in statement:
             statement = statement.split(".")[0]
-        conclusion = _conclusion_of(statement)
-        head, is_eq = _head_of(conclusion)
-        lemmas[name] = LemmaView(
-            name, statement, conclusion, head, is_eq,
-            binders=_binder_names(statement),
-        )
-    for match in _PROOF_RE.finditer(context):
-        name, body = match.group(1), match.group(2).strip()
+        lemmas[name] = _lemma_view(name, statement)
+    for name, body in _hinted_proofs(context):
+        body = body.strip()
         if name in lemmas and "(* ... *)" not in body:
             lemmas[name].proof = body
     for match in _RULE_RE.finditer(context):
         name, statement = match.group(1), " ".join(match.group(2).split())
         if name not in lemmas:
-            conclusion = _conclusion_of(statement)
-            head, is_eq = _head_of(conclusion)
-            lemmas[name] = LemmaView(
-                name, statement, conclusion, head, is_eq,
-                binders=_binder_names(statement),
-            )
+            lemmas[name] = _lemma_view(name, statement)
     definitions = _DEFINITION_RE.findall(context)
     fixpoints = _FIXPOINT_RE.findall(context)
     inductive_preds = set()
