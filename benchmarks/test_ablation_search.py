@@ -73,67 +73,6 @@ def test_ablation_dedup(benchmark, project):
     assert q_off >= q_on - _FUEL
 
 
-def test_ablation_engines(benchmark, project):
-    """Best-first vs MCTS vs Rango-style linear, equal fuel (paper §5)."""
-    import dataclasses
-
-    from repro.core import (
-        BestFirstSearch,
-        LinearConfig,
-        LinearSearch,
-        MCTSConfig,
-        MCTSSearch,
-        SearchConfig,
-    )
-    from repro.corpus.splits import make_splits
-    from repro.llm.models import SimulatedModel, get_model
-    from repro.prompting import PromptBuilder
-    from repro.serapi import ProofChecker
-
-    splits = make_splits(project)
-    theorems = splits.test[:_N]
-    model = SimulatedModel(
-        dataclasses.replace(get_model("gpt-4o").profile, lucidity=0.6)
-    )
-
-    def run():
-        scores = {}
-        engines = {
-            "best-first": lambda c, m: BestFirstSearch(
-                c, m, SearchConfig(fuel=_FUEL)
-            ),
-            "mcts": lambda c, m: MCTSSearch(c, m, MCTSConfig(fuel=_FUEL)),
-            "linear": lambda c, m: LinearSearch(
-                c, m, LinearConfig(fuel=_FUEL)
-            ),
-        }
-        for name, factory in engines.items():
-            proved = 0
-            for theorem in theorems:
-                checker = ProofChecker(project.env_for(theorem))
-                builder = PromptBuilder(
-                    project,
-                    theorem,
-                    hint_names=splits.hint_names,
-                    window_tokens=model.context_window,
-                )
-                result = factory(checker, model).prove(
-                    theorem.name, theorem.statement, builder.build
-                )
-                proved += result.proved
-            scores[name] = proved / len(theorems)
-        return scores
-
-    scores = benchmark.pedantic(run, rounds=1, iterations=1)
-    print()
-    for name, value in scores.items():
-        print(f"engine={name:12} coverage={value:.1%}")
-    # All three disciplines must be functional; the tree searches
-    # should not lose badly to greedy linear search.
-    assert max(scores.values()) > 0
-    assert scores["best-first"] >= scores["linear"] - 0.21
-
-
 def test_ablation_hint_fraction(benchmark, project):
     """Hint fraction 0 / 25 / 50 / 100 % (DESIGN.md §8)."""
     from repro.eval import ExperimentConfig, Runner, overall_coverage

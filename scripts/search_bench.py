@@ -1,22 +1,23 @@
-"""Pipelined-search microbenchmark: serial vs overlapped expansion.
+"""Pipelined-search microbenchmark: depth 1 vs overlapped expansion.
 
 Runs the same hinted sweep twice through the real runner stack —
-once with the classic serial loop (``pipeline_depth=0``) and once
-pipelined (``--pipeline-depth``, default 4) — against a
-:class:`repro.testing.latency.LatencyGenerator` endpoint model: every
-model dispatch charges ``--query-overhead`` seconds through a
-serialized gate (a real API's requests-per-minute limit), and a
-batched dispatch charges it **once for the whole batch**.  That is the
-cost structure the pipelined mode exploits: the fill phase's
-co-travelling rounds coalesce in the intra-search micro-batcher, so k
-queries share one round-trip instead of paying k.
+once at ``pipeline_depth=1`` (each expansion waits for its own query:
+no overlap) and once pipelined (``--pipeline-depth``, default 4) —
+against a :class:`repro.testing.latency.LatencyGenerator` endpoint
+model: every model dispatch charges ``--query-overhead`` seconds
+through a serialized gate (a real API's requests-per-minute limit),
+and a batched dispatch charges it **once for the whole batch**.  That
+is the cost structure the pipelined mode exploits: co-travelling
+rounds coalesce in the intra-search micro-batcher, so k queries share
+one round-trip instead of paying k.
 
 Emits ``BENCH_search.json``: per-phase wall clock, query and
 round-trip counts, per-theorem coverage — plus the differential the
 determinism contract demands: pipelined coverage (which cells prove,
-revalidated) must equal serial coverage exactly.  ``--check`` exits
-non-zero unless pipelined wall clock beats serial by
-``--min-speedup`` at identical coverage.
+revalidated) must equal depth-1 coverage exactly.  The depth-1 phase
+is stored under the ``serial`` key.  ``--check`` exits non-zero
+unless pipelined wall clock beats depth 1 by ``--min-speedup`` at
+identical coverage.
 
 Usage::
 
@@ -60,7 +61,7 @@ def parse_args() -> argparse.Namespace:
     parser.add_argument(
         "--check",
         action="store_true",
-        help="exit non-zero unless pipelined >= --min-speedup x serial "
+        help="exit non-zero unless pipelined >= --min-speedup x depth-1 "
         "wall clock at identical coverage",
     )
     parser.add_argument("--min-speedup", type=float, default=1.3)
@@ -72,9 +73,9 @@ def pick_theorems(project, count: int):
 
     Pipelining pays off in searches that actually burn fuel; a sweep
     of instantly-proving lemmas is all startup ramp (a single frontier
-    node gives the fill phase nothing to overlap).  The long-proof
+    node gives the pipeline nothing to overlap).  The long-proof
     theorems mostly run to FUELOUT, exercising the steady state where
-    every fill keeps ``pipeline_depth`` generations in flight.
+    iteration keeps ``pipeline_depth`` generations in flight.
     """
     ranked = sorted(
         project.theorems,
@@ -129,8 +130,8 @@ def main() -> int:
         f"overhead={args.query_overhead}s",
         file=sys.stderr,
     )
-    print("[1/2] serial (pipeline_depth=0) ...", file=sys.stderr)
-    serial = run_phase(project, theorems, args, depth=0)
+    print("[1/2] no overlap (pipeline_depth=1) ...", file=sys.stderr)
+    serial = run_phase(project, theorems, args, depth=1)
     print(
         f"[2/2] pipelined (pipeline_depth={args.pipeline_depth}) ...",
         file=sys.stderr,
@@ -161,7 +162,7 @@ def main() -> int:
         handle.write("\n")
 
     print(
-        f"serial:    {serial['wall_seconds']:.2f}s "
+        f"depth 1:   {serial['wall_seconds']:.2f}s "
         f"({serial['queries']} queries, "
         f"{serial['round_trips']} round-trips)"
     )
@@ -178,7 +179,7 @@ def main() -> int:
 
     failures = []
     if not coverage_identical:
-        failures.append("pipelined coverage differs from serial")
+        failures.append("pipelined coverage differs from depth 1")
     if args.check and speedup < args.min_speedup:
         failures.append(
             f"speedup {speedup:.2f}x below the {args.min_speedup}x gate"

@@ -355,6 +355,29 @@ def _cmd_serve(args) -> int:
     return 0
 
 
+def _positive_int(text: str) -> int:
+    """argparse type for counts that must be at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
+def _add_pipeline_depth(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
+        "--pipeline-depth",
+        type=_positive_int,
+        default=1,
+        metavar="K",
+        help="generation calls in flight per search (default 1: each "
+        "expansion waits for its query; >= 2 overlaps generation with "
+        "checking, same coverage)",
+    )
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(prog="repro", description=__doc__)
     parser.add_argument(
@@ -412,15 +435,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="checker-error feedback rounds after a failed search "
         "(0 disables the repair loop)",
     )
-    p_prove.add_argument(
-        "--pipeline-depth",
-        type=int,
-        default=0,
-        metavar="K",
-        help="generation calls in flight per search (0 = serial loop; "
-        "1 = pipelined, byte-identical to serial; >=2 overlaps "
-        "generation with checking)",
-    )
+    _add_pipeline_depth(p_prove)
     p_prove.set_defaults(fn=_cmd_prove)
 
     p_repair = sub.add_parser(
@@ -447,13 +462,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="shared wall-clock budget across the initial search and "
         "every repair round",
     )
-    p_repair.add_argument(
-        "--pipeline-depth",
-        type=int,
-        default=0,
-        metavar="K",
-        help="generation calls in flight per search (0 = serial loop)",
-    )
+    _add_pipeline_depth(p_repair)
     p_repair.set_defaults(fn=_cmd_repair)
 
     p_eval = sub.add_parser("eval", help="mini evaluation sweep")
@@ -524,15 +533,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="checker-error feedback rounds per failed cell "
         "(0 disables the repair loop)",
     )
-    p_eval.add_argument(
-        "--pipeline-depth",
-        type=int,
-        default=0,
-        metavar="K",
-        help="generation calls in flight per search (0 = serial loop; "
-        "1 = pipelined, byte-identical to serial; >=2 overlaps "
-        "generation with checking; outcome records are unaffected)",
-    )
+    _add_pipeline_depth(p_eval)
     p_eval.add_argument(
         "--pass-at-k",
         type=int,
@@ -600,14 +601,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="record every job's search as span-tree JSONL "
         "(render: repro trace)",
     )
-    p_server.add_argument(
-        "--pipeline-depth",
-        type=int,
-        default=0,
-        metavar="K",
-        help="generation calls in flight per proof job (0 = serial "
-        "search loop)",
-    )
+    _add_pipeline_depth(p_server)
     p_server.add_argument(
         "--cluster",
         type=int,

@@ -1,12 +1,12 @@
 """Bounded in-flight generation with in-order commit.
 
-The serial best-first loop alternates *generate* (one blocking model
-query) and *validate* (checker calls), so the checker idles during
-every generation round-trip and the model idles during every
-validation pass.  :class:`GenerationPipeline` overlaps them: the
-search keeps up to ``depth`` generation calls in flight and validates
-the oldest finished expansion while the younger ones are still being
-generated.
+At depth 1 the best-first loop alternates *generate* (one blocking
+model query) and *validate* (checker calls), so the checker idles
+during every generation round-trip and the model idles during every
+validation pass.  :class:`GenerationPipeline` overlaps them at depth
+``k >= 2``: the search keeps up to ``k`` generation calls in flight
+and validates the oldest finished expansion while the younger ones
+are still being generated.
 
 Determinism contract (hard): results are **committed in submission
 order** — the pipeline is a reorder buffer keyed by the round sequence
@@ -14,10 +14,10 @@ number assigned at :meth:`submit`.  Completion order (thread timing,
 batch composition) is unobservable: the search validates round *i*'s
 candidates before it looks at round *i+1*'s, so the tree — and with it
 every outcome record — evolves as a pure function of the selection
-sequence.  With ``depth=1`` the pipeline degenerates to the serial
-loop exactly: ``submit`` executes the call inline on the caller's
-thread (no worker, no queue, errors raise at the call site), which is
-what makes ``--pipeline-depth 1`` byte-identical to the classic loop.
+sequence.  With ``depth=1`` the pipeline degenerates to a plain call:
+``submit`` executes it inline on the caller's thread (no worker, no
+queue, errors raise at the call site), so a depth-1 search is the
+classic select/expand alternation.
 
 Execution backends, chosen per submission source:
 
@@ -74,7 +74,7 @@ class GenerationPipeline:
 
     The *caller* enforces the in-flight bound (it holds the handles);
     the pipeline provides ordered submission and an execution backend.
-    ``depth <= 1`` is the degenerate serial mode: no thread is ever
+    ``depth == 1`` is the degenerate inline mode: no thread is ever
     created and ``submit`` runs the call inline.
     """
 
@@ -96,10 +96,9 @@ class GenerationPipeline:
         """Start one generation round; returns its ordered handle."""
         seq = self._seq
         self._seq += 1
-        if self.depth <= 1:
-            # Serial mode: execute inline.  An error raises here, at
-            # the same program point as the classic loop's blocking
-            # ``generate`` call.
+        if self.depth == 1:
+            # Inline mode: an error raises here, inside the search's
+            # ``generation`` span, like any blocking ``generate`` call.
             return GenerationHandle(seq, value=self.generate_fn(prompt, k))
         if self.submit_fn is not None:
             pending = self.submit_fn(prompt, k)

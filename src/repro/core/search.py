@@ -14,20 +14,23 @@ Search succeeds as soon as any child state is complete; it fails
 *stuck* when the frontier empties and *fuelout* when the query limit
 (paper: 128) is exhausted.
 
-Pipelined mode (``SearchConfig.pipeline_depth >= 1``) overlaps the two
-steps: up to ``pipeline_depth`` frontier nodes are reserved per round
-(virtual-loss selection — a reserved node leaves the queue, so the
-next reservation picks a sibling) and their generation calls run
-concurrently through :class:`repro.core.pipeline.GenerationPipeline`,
-while the checker validates the oldest finished round.  Results are
-committed strictly in reservation order (a reorder buffer keyed by
-round sequence number), so the tree — and every outcome record — is a
-pure function of the selection sequence: ``pipeline_depth=1`` is
-byte-identical to the classic serial loop, and any depth is
-run-to-run deterministic.  At depth > 1 selection is speculative
-(round *i+1* is chosen before round *i*'s children exist), so the
-*exploration order* may differ from serial — wall-clock drops,
-coverage is pinned by ``tests/eval/test_pipeline_determinism.py``.
+Selection runs ahead of validation by up to ``pipeline_depth`` rounds
+(``SearchConfig.pipeline_depth``, default 1): each iteration reserves
+frontier nodes for the free slots (virtual-loss selection — a reserved
+node leaves the queue, so the next reservation picks a sibling), then
+opens one ``expand`` span in which it builds and submits the new
+rounds' prompts through :class:`repro.core.pipeline.GenerationPipeline`
+and validates the *oldest* round while the younger ones keep
+generating.  Rounds commit strictly in reservation order, so the tree
+— and every outcome record — is a pure function of the selection
+sequence, and any depth is run-to-run deterministic.  At depth 1 the
+loop is the classic select/expand alternation.  At depth > 1
+selection is speculative (round *i+1* is chosen before round *i*'s
+children exist), so the *exploration order* may differ from depth 1 —
+wall-clock drops, coverage is pinned by
+``tests/eval/test_pipeline_determinism.py``.  The trace shape is
+``search → (select, expand → prompt_build, generation, tactic*)*`` at
+every depth.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ from __future__ import annotations
 import time
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Deque, Optional, Sequence, Set, Tuple
+from typing import Callable, Deque, List, Optional, Sequence, Set, Tuple
 
 from repro.core.frontier import make_frontier
 from repro.core.node import Node
@@ -83,13 +86,18 @@ class SearchConfig:
     # running unbounded.  None = no deadline (the paper's setting).
     theorem_deadline: Optional[float] = None
     # Intra-search pipelining: generation calls kept in flight at once.
-    # 0 (default) runs the classic serial loop; 1 runs the pipelined
-    # executor with a single slot (byte-identical records to serial —
-    # the validation mode); >= 2 overlaps generation and checking.
-    # Deliberately NOT part of TheoremTask.cache_key() — like `trace`,
-    # it is an execution knob, not a sweep cell coordinate (see
+    # 1 (default) alternates selection and expansion; >= 2 overlaps
+    # generation and checking.  Deliberately NOT part of
+    # TheoremTask.cache_key() — like `trace`, it is an execution knob,
+    # not a sweep cell coordinate (see
     # repro.eval.config.ExperimentConfig.pipeline_depth).
-    pipeline_depth: int = 0
+    pipeline_depth: int = 1
+
+    def __post_init__(self) -> None:
+        if self.pipeline_depth < 1:
+            raise ValueError(
+                f"pipeline_depth must be >= 1, got {self.pipeline_depth}"
+            )
 
 
 class BestFirstSearch:
@@ -119,9 +127,9 @@ class BestFirstSearch:
         micro-batcher, with identical semantics — the handle must obey
         the determinism contract of
         :func:`repro.llm.interface.generate_batch`.  ``submit_fn`` is
-        the optional *asynchronous* counterpart used by the pipelined
-        mode: ``submit_fn(prompt, k)`` starts a generation call and
-        returns a handle with ``result()`` (e.g.
+        the optional *asynchronous* counterpart used at
+        ``pipeline_depth >= 2``: ``submit_fn(prompt, k)`` starts a
+        generation call and returns a handle with ``result()`` (e.g.
         :meth:`repro.service.batching.BatchingGenerator.submit`); when
         absent, the generator's own ``submit`` method is used if it has
         one and ``generate_fn`` was not overridden, else the pipeline
@@ -145,7 +153,7 @@ class BestFirstSearch:
         self._default_generate = generate_fn is None
 
     def _resolve_submit_fn(self) -> Optional[Callable[[str, int], object]]:
-        """The async submission route for the pipelined mode, if any."""
+        """The async submission route for ``pipeline_depth >= 2``."""
         if self.submit_fn is not None:
             return self.submit_fn
         if self._default_generate:
@@ -261,9 +269,8 @@ class BestFirstSearch:
             """Validate one expansion's candidates in rank order.
 
             Pushes valid children, maintains the failure frontier, and
-            returns the proof-completing child if one appears.  Shared
-            verbatim by the serial and pipelined loops — the checker
-            call sequence is the determinism-sensitive part.
+            returns the proof-completing child if one appears.  The
+            checker call sequence is the determinism-sensitive part.
             """
             nonlocal best_fail, best_fail_rank
             node_fail: Optional[Tuple[str, str, str]] = None
@@ -355,146 +362,41 @@ class BestFirstSearch:
                 return finish(Status.PROVED, node.tactics_from_root())
 
         metrics = self.metrics
-        with tracer.span("search", theorem=theorem_name) as search_span:
-            if config.pipeline_depth >= 1:
-                return self._pipelined_loop(
-                    config,
-                    stats,
-                    deadline,
-                    frontier,
-                    prompt_fn,
-                    transcript,
-                    finish,
-                    process_candidates,
-                )
-            while True:
-                # The per-theorem deadline is polled once per expansion
-                # — individual tactics are already bounded by the 5 s
-                # tactic deadline, so one check per model query caps
-                # the overrun at a single expansion's work.
-                if deadline is not None and deadline.expired():
-                    return finish(Status.TIMEOUT)
-                # Fuel is checked *before* popping: on FUELOUT the next
-                # node stays in the frontier, so the frontier is a
-                # faithful picture of the unexpanded tree for
-                # resume/diagnostics.
-                if stats.queries >= config.fuel:
-                    return finish(Status.FUELOUT)
-                with tracer.span("select") as select_span:
-                    node = frontier.pop()
-                    if tracer.enabled and node is not None:
-                        select_span.set(
-                            depth=node.depth,
-                            score=round(node.cum_log_prob, 6),
-                        )
-                if node is None:
-                    return finish(Status.STUCK)
+        # Rounds in reservation order: ``inflight`` holds the started
+        # ones (node + generation handle), ``fresh`` the nodes reserved
+        # this iteration whose prompts are not built yet.
+        inflight: Deque[Tuple[Node, GenerationHandle]] = deque()
+        fresh: List[Node] = []
 
-                # Expansion: one model query.
-                with tracer.span("expand") as expand_span:
-                    if tracer.enabled:
-                        # Whitespace-collapsed so the one-line preview
-                        # renders cleanly in the trace tree.
-                        goal = " ".join(node.state.render().split())
-                        expand_span.set(
-                            query=stats.queries + 1,
-                            fuel=config.fuel,
-                            depth=node.depth,
-                            score=round(node.cum_log_prob, 6),
-                            goal=goal[:160],
-                        )
-                    t0 = self.clock()
-                    with tracer.span("prompt_build"):
-                        prompt = prompt_fn(
-                            node.state, node.tactics_from_root()
-                        )
-                    if metrics is not None:
-                        metrics.add_time("prompt_build", self.clock() - t0)
-                    stats.queries += 1
-                    t0 = self.clock()
-                    with tracer.span("generation") as generation_span:
-                        candidates = self.generate(prompt, config.width)
-                        if tracer.enabled:
-                            generation_span.set(candidates=len(candidates))
-                    if metrics is not None:
-                        metrics.add_time("generation", self.clock() - t0)
-                    node.expanded = True
-                    stats.nodes_expanded += 1
+        def release_reserved() -> None:
+            # Newest first restores the exact frontier (see
+            # repro.core.frontier docstring).
+            for reserved in reversed(fresh):
+                frontier.release(reserved)
+            for reserved, _handle in reversed(inflight):
+                frontier.release(reserved)
 
-                    event = None
-                    if transcript is not None:
-                        event = ExpansionEvent(
-                            node_depth=node.depth,
-                            node_score=node.cum_log_prob,
-                            goal_preview=node.state.render()[:200],
-                        )
-
-                    proved = process_candidates(node, candidates, event)
-                    if proved is not None:
-                        if transcript is not None and event is not None:
-                            transcript.record(event)
-                        return finish(
-                            Status.PROVED, proved.tactics_from_root()
-                        )
-
-                if transcript is not None and event is not None:
-                    transcript.record(event)
-
-    def _pipelined_loop(
-        self,
-        config: SearchConfig,
-        stats: SearchStats,
-        deadline: Optional[Deadline],
-        frontier,
-        prompt_fn: PromptFn,
-        transcript: Optional[Transcript],
-        finish,
-        process_candidates,
-    ) -> SearchResult:
-        """The pipelined select/expand loop (``pipeline_depth >= 1``).
-
-        Fill phase: reserve frontier nodes and start their generation
-        calls until ``pipeline_depth`` rounds are in flight (or fuel /
-        frontier runs out).  Commit phase: take the *oldest* round,
-        wait for its candidates, and validate them while the younger
-        rounds keep generating.  The in-order commit makes the loop a
-        deterministic function of the selection sequence; at depth 1
-        the fill-one/commit-one cadence replays the serial loop's
-        event order exactly.
-
-        Exits: PROVED and TIMEOUT release any still-reserved nodes
-        back to the frontier (in reverse reservation order, restoring
-        it exactly); FUELOUT and STUCK only occur with an empty
-        pipeline, after every started round was committed — fuel
-        already spent on a query is always followed by its validation,
-        except when the search ends first.
-        """
-        tracer = self.tracer
-        metrics = self.metrics
         pipeline = GenerationPipeline(
             self.generate,
             config.pipeline_depth,
             submit_fn=self._resolve_submit_fn(),
         )
-        inflight: Deque[Tuple[Node, GenerationHandle]] = deque()
-
-        def release_inflight() -> None:
-            # Reverse order restores the exact frontier (see
-            # repro.core.frontier docstring).
-            for pending_node, _handle in reversed(inflight):
-                frontier.release(pending_node)
-            inflight.clear()
-
-        try:
+        search_span = tracer.span("search", theorem=theorem_name)
+        with search_span, pipeline:
             while True:
-                # Fill: start rounds until the pipeline is full.
-                while len(inflight) < config.pipeline_depth:
-                    # Deadline first, then fuel — the serial loop's
-                    # status priority, polled once per started round.
+                # Reserve nodes for the free slots.  The per-theorem
+                # deadline is polled once per reservation — individual
+                # tactics are already bounded by the tactic timeout, so
+                # this caps the overrun at one expansion's work.  Fuel
+                # is checked *before* reserving (counting reserved but
+                # unqueried rounds): on FUELOUT the next node stays in
+                # the frontier, a faithful picture of the unexpanded
+                # tree for resume/diagnostics.
+                while len(inflight) + len(fresh) < config.pipeline_depth:
                     if deadline is not None and deadline.expired():
-                        release_inflight()
+                        release_reserved()
                         return finish(Status.TIMEOUT)
-                    if stats.queries >= config.fuel:
+                    if stats.queries + len(fresh) >= config.fuel:
                         break
                     with tracer.span("select") as select_span:
                         node = frontier.reserve()
@@ -502,46 +404,57 @@ class BestFirstSearch:
                             select_span.set(
                                 depth=node.depth,
                                 score=round(node.cum_log_prob, 6),
-                                round=stats.queries,
+                                round=stats.queries + len(fresh),
                             )
                     if node is None:
                         break
-                    t0 = self.clock()
-                    with tracer.span("prompt_build"):
-                        prompt = prompt_fn(
-                            node.state, node.tactics_from_root()
-                        )
-                    if metrics is not None:
-                        metrics.add_time("prompt_build", self.clock() - t0)
-                    stats.queries += 1
-                    inflight.append(
-                        (node, pipeline.submit(prompt, config.width))
-                    )
+                    fresh.append(node)
 
-                if not inflight:
+                if not fresh and not inflight:
                     # Nothing running and nothing startable: terminal.
                     if stats.queries >= config.fuel:
                         return finish(Status.FUELOUT)
                     return finish(Status.STUCK)
 
-                # Commit: validate the oldest round, in flight or not.
-                node, handle = inflight.popleft()
+                # Expansion of the oldest round: one model query.
                 with tracer.span("expand") as expand_span:
+                    prompts = []
+                    for reserved in fresh:
+                        t0 = self.clock()
+                        with tracer.span("prompt_build", round=stats.queries):
+                            prompts.append(
+                                prompt_fn(
+                                    reserved.state,
+                                    reserved.tactics_from_root(),
+                                )
+                            )
+                        if metrics is not None:
+                            metrics.add_time("prompt_build", self.clock() - t0)
+                        stats.queries += 1
+                    node = inflight[0][0] if inflight else fresh[0]
                     if tracer.enabled:
+                        # Whitespace-collapsed so the one-line preview
+                        # renders cleanly in the trace tree.
                         goal = " ".join(node.state.render().split())
                         expand_span.set(
-                            query=handle.seq + 1,
+                            query=stats.nodes_expanded + 1,
                             fuel=config.fuel,
                             depth=node.depth,
                             score=round(node.cum_log_prob, 6),
                             goal=goal[:160],
-                            round=handle.seq,
-                            inflight=len(inflight) + 1,
+                            round=stats.nodes_expanded,
+                            inflight=len(inflight) + len(fresh),
                         )
                     t0 = self.clock()
                     with tracer.span("generation") as generation_span:
-                        # Blocks only until *this* round is done; the
-                        # younger rounds keep generating meanwhile.
+                        # Start the new rounds (at depth 1 the call runs
+                        # inline, here), then wait for the oldest only:
+                        # the younger rounds keep generating meanwhile.
+                        for reserved, prompt in zip(fresh, prompts):
+                            handle = pipeline.submit(prompt, config.width)
+                            inflight.append((reserved, handle))
+                        fresh.clear()
+                        node, handle = inflight.popleft()
                         candidates = handle.result()
                         if tracer.enabled:
                             generation_span.set(candidates=len(candidates))
@@ -561,14 +474,12 @@ class BestFirstSearch:
 
                     proved = process_candidates(node, candidates, event)
                     if proved is not None:
-                        if transcript is not None and event is not None:
+                        if event is not None:
                             transcript.record(event)
-                        release_inflight()
+                        release_reserved()
                         return finish(
                             Status.PROVED, proved.tactics_from_root()
                         )
 
-                if transcript is not None and event is not None:
+                if event is not None:
                     transcript.record(event)
-        finally:
-            pipeline.close()

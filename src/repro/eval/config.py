@@ -52,11 +52,20 @@ class ExperimentConfig:
     # tracing must never change an outcome record.
     trace: bool = False
     # Intra-search pipelining (repro.core.pipeline): generation calls
-    # kept in flight per search.  0 = classic serial loop; 1 = the
-    # pipelined executor, byte-identical to serial (validation mode);
-    # >= 2 overlaps generation with checking.  Like `trace`, this is an
-    # execution knob, deliberately NOT part of TheoremTask.cache_key():
-    # depth 1 is bit-equal to serial, and any depth leaves per-theorem
-    # coverage unchanged on the golden corpus
-    # (tests/eval/test_pipeline_determinism.py pins both).
-    pipeline_depth: int = 0
+    # kept in flight per search.  1 (default) alternates selection and
+    # expansion; >= 2 overlaps generation with checking.  Like `trace`,
+    # this is an execution knob, deliberately NOT part of
+    # TheoremTask.cache_key(): any depth leaves per-theorem coverage
+    # unchanged on the golden corpus, and depth 1 replays the golden
+    # stores byte for byte (tests/eval/test_pipeline_determinism.py).
+    pipeline_depth: int = 1
+
+    def __post_init__(self) -> None:
+        if self.pipeline_depth < 0:
+            raise ValueError(
+                f"pipeline_depth must be >= 1, got {self.pipeline_depth}"
+            )
+        if self.pipeline_depth == 0:
+            # The removed serial loop's spelling: depth 1 replays that
+            # loop exactly, so configs written with 0 keep their meaning.
+            object.__setattr__(self, "pipeline_depth", 1)

@@ -171,7 +171,7 @@ class Runner:
         theorem_name: str,
         hinted: bool,
         metrics: Optional[Metrics],
-        pipeline_depth: int = 0,
+        pipeline_depth: int = 1,
     ):
         """Apply the fault-tolerance stack to a raw generator.
 
@@ -236,7 +236,7 @@ class Runner:
         )
         # The execution knob rides in from ExperimentConfig, never from
         # the task (it is outside the cache key — see eval.config).
-        pipeline_depth = getattr(self.config, "pipeline_depth", 0)
+        pipeline_depth = getattr(self.config, "pipeline_depth", 1)
         model, batcher = self._wrap_model(
             model, theorem.name, hinted, metrics, pipeline_depth
         )
@@ -248,10 +248,7 @@ class Runner:
             dedup_states=self.config.dedup_states,
             theorem_deadline=getattr(self.config, "theorem_deadline", None),
         )
-        if pipeline_depth >= 1 and search_config.pipeline_depth == 0:
-            search_config = replace(
-                search_config, pipeline_depth=pipeline_depth
-            )
+        search_config = replace(search_config, pipeline_depth=pipeline_depth)
         tracer = tracer if tracer is not None else NULL_TRACER
         env = self.project.env_for(theorem)
         checker = ProofChecker(

@@ -251,10 +251,10 @@ class BatchingGenerator:
     ) -> "BatchingGenerator":
         """A coalescer sized for one pipelined search.
 
-        ``max_batch_size`` equals the pipeline depth: a fill phase
-        submits at most ``depth`` rounds back-to-back, so a full fill
-        dispatches immediately while stragglers (steady-state single
-        refills) wait at most ``batch_window`` for co-travellers.
+        ``max_batch_size`` equals the pipeline depth: a search submits
+        at most ``depth`` rounds back-to-back, so a full set dispatches
+        immediately while stragglers (steady-state single refills)
+        wait at most ``batch_window`` for co-travellers.
         The window should stay small relative to the backend's
         per-request latency — it is pure added latency when nothing
         coalesces.

@@ -223,11 +223,11 @@ class ServerConfig:
     # tracing, and job execution pays no tracing cost at all.
     trace_path: Optional[str] = None
     # Intra-search pipelining per job (repro.core.pipeline): generation
-    # calls in flight within one search.  0 = serial loop.  Composes
+    # calls in flight within one search (1 = no overlap).  Composes
     # with the cross-search micro-batcher: pipelined rounds from one
     # job coalesce intra-search first, and the resulting dispatches
     # still share the per-model batcher with other jobs.
-    pipeline_depth: int = 0
+    pipeline_depth: int = 1
 
 
 class ProverService:

@@ -1,5 +1,9 @@
 """The best-first search engine."""
 
+import dataclasses
+import json
+from pathlib import Path
+
 import pytest
 
 from repro.core import (
@@ -365,6 +369,34 @@ class TestZeroCandidateExpansions:
         assert result.failure.failed_tactic == "nonsense tactic"
 
 
+#: The former serial (depth-0) loop's results and transcripts, recorded
+#: before that loop was folded into the pipelined one: depth 1 must
+#: replay them exactly.
+SERIAL_REFERENCE = json.loads(
+    (Path(__file__).parent / "serial_reference.json").read_text(
+        encoding="utf-8"
+    )
+)
+
+
+def _as_reference(result, transcript):
+    """A search's result fields + events, in the fixture's JSON shape."""
+    stats = result.stats
+    return {
+        "status": result.status.value,
+        "tactics": result.tactics,
+        "queries": stats.queries,
+        "candidates": stats.candidates,
+        "nodes_created": stats.nodes_created,
+        "nodes_expanded": stats.nodes_expanded,
+        "rejected": stats.rejected,
+        "duplicates": stats.duplicates,
+        "timeouts": stats.timeouts,
+        "failure": result.failure.to_json() if result.failure else None,
+        "events": [dataclasses.asdict(e) for e in transcript.events],
+    }
+
+
 class TestPipelinedSearch:
     def _result_fields(self, result):
         return (
@@ -379,8 +411,8 @@ class TestPipelinedSearch:
             result.failure,
         )
 
-    def _prove(self, project, name, depth, fuel=16, **kwargs):
-        model = get_model("gpt-4o")
+    def _prove(self, project, name, depth, fuel=16, model=None, **kwargs):
+        model = model or get_model("gpt-4o")
         search, theorem, builder, _ = _search_for(
             project, name, model, fuel=fuel, pipeline_depth=depth, **kwargs
         )
@@ -392,17 +424,14 @@ class TestPipelinedSearch:
 
     def test_depth1_matches_serial_exactly(self, project):
         for name in ("app_nil_l", "le_trans", "rev_involutive"):
-            serial, serial_t = self._prove(project, name, depth=0)
-            piped, piped_t = self._prove(project, name, depth=1)
-            assert self._result_fields(piped) == self._result_fields(serial)
-            assert piped_t.events == serial_t.events
+            result, transcript = self._prove(project, name, depth=1)
+            assert _as_reference(result, transcript) == SERIAL_REFERENCE[name]
 
     def test_depth4_same_coverage(self, project):
-        for name in ("app_nil_l", "le_trans", "plus_0_l"):
-            serial, _ = self._prove(project, name, depth=0)
+        for name in ("app_nil_l", "le_trans", "rev_involutive"):
             piped, _ = self._prove(project, name, depth=4)
-            assert piped.status is serial.status
-            if serial.status is Status.PROVED:
+            assert piped.status.value == SERIAL_REFERENCE[name]["status"]
+            if piped.status is Status.PROVED:
                 assert piped.tactics  # a valid proof, possibly different
 
     def test_depth4_run_to_run_deterministic(self, project):
@@ -412,17 +441,17 @@ class TestPipelinedSearch:
         assert t1.events == t2.events
 
     def test_depth1_fuelout_and_stuck_match_serial(self, project):
-        model_rounds = [["assert (0 = 0)"]]
-        for depth in (0, 1):
-            model = _ScriptedModel(model_rounds)
-            search, theorem, builder, _ = _search_for(
-                project, "plus_comm", model, fuel=5, pipeline_depth=depth
+        cases = {
+            "fuelout:plus_comm": [["assert (0 = 0)"]],
+            "stuck:plus_0_l": [["nonsense tactic", "intros n", "intros n"]],
+        }
+        for key, rounds in cases.items():
+            status, name = key.split(":")
+            result, transcript = self._prove(
+                project, name, depth=1, fuel=5, model=_ScriptedModel(rounds)
             )
-            result = search.prove(
-                theorem.name, theorem.statement, builder.build
-            )
-            assert result.status is Status.FUELOUT
-            assert result.stats.queries == 5
+            assert result.status.value == status
+            assert _as_reference(result, transcript) == SERIAL_REFERENCE[key]
 
     def test_pipelined_timeout_releases_frontier(self, project):
         # A fake clock that expires the deadline after the first round:
