@@ -332,6 +332,9 @@ def _cmd_trace(args) -> int:
             print()
             print(render_summary(trace_spans))
         print()
+    if args.summary and len(selected) > 1:
+        print(f"all {len(selected)} traces")
+        print(render_summary([s for t in selected.values() for s in t]))
     return 0
 
 
@@ -642,7 +645,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     p_trace.add_argument(
         "--summary",
         action="store_true",
-        help="append a per-stage self-time table to each trace",
+        help="append a per-stage self-time table to each trace "
+        "(and one over all selected traces)",
     )
     p_trace.set_defaults(fn=_cmd_trace)
 

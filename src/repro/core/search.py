@@ -108,7 +108,6 @@ class BestFirstSearch:
         checker: ProofChecker,
         generator: TacticGenerator,
         config: Optional[SearchConfig] = None,
-        metrics=None,
         clock: Callable[[], float] = time.monotonic,
         generate_fn: Optional[
             Callable[[str, int], Sequence["object"]]
@@ -116,16 +115,12 @@ class BestFirstSearch:
         tracer=None,
         submit_fn: Optional[Callable[[str, int], object]] = None,
     ) -> None:
-        """``metrics`` is an optional duck-typed sink (an object with
-        ``add_time(stage, seconds)``, e.g.
-        :class:`repro.eval.instrumentation.Metrics`) that receives
-        prompt-build and generation timings.  ``clock`` feeds the
-        wall-clock stats and the per-theorem deadline (injectable for
-        timeout tests).  ``generate_fn`` overrides how an expansion
-        queries the model (default: ``generator.generate``); the
-        service layer injects a handle that routes through its shared
-        micro-batcher, with identical semantics — the handle must obey
-        the determinism contract of
+        """``clock`` feeds the wall-clock stats and the per-theorem
+        deadline (injectable for timeout tests).  ``generate_fn``
+        overrides how an expansion queries the model (default:
+        ``generator.generate``); the service layer injects a handle
+        that routes through its shared micro-batcher, with identical
+        semantics — the handle must obey the determinism contract of
         :func:`repro.llm.interface.generate_batch`.  ``submit_fn`` is
         the optional *asynchronous* counterpart used at
         ``pipeline_depth >= 2``: ``submit_fn(prompt, k)`` starts a
@@ -136,7 +131,10 @@ class BestFirstSearch:
         falls back to a small thread pool over ``generate_fn``.
         ``tracer`` is an optional :class:`repro.obs.trace.Tracer`
         recording selection / expansion spans; the default no-op
-        tracer costs nothing and leaves outcomes untouched."""
+        tracer costs nothing and leaves outcomes untouched.  The
+        ``prompt_build`` and ``generation`` spans are those stages'
+        only clock: :meth:`repro.eval.runner.Runner.execute_task` folds
+        their totals into the task's stage table."""
         if not getattr(generator, "provides_log_probs", False):
             raise GenerationError(
                 f"model {generator.name} provides no log-probabilities; "
@@ -145,7 +143,6 @@ class BestFirstSearch:
         self.checker = checker
         self.generator = generator
         self.config = config or SearchConfig()
-        self.metrics = metrics
         self.clock = clock
         self.generate = generate_fn or generator.generate
         self.tracer = tracer if tracer is not None else NULL_TRACER
@@ -361,7 +358,6 @@ class BestFirstSearch:
             with tracer.span("search", theorem=theorem_name) as search_span:
                 return finish(Status.PROVED, node.tactics_from_root())
 
-        metrics = self.metrics
         # Rounds in reservation order: ``inflight`` holds the started
         # ones (node + generation handle), ``fresh`` the nodes reserved
         # this iteration whose prompts are not built yet.
@@ -420,7 +416,6 @@ class BestFirstSearch:
                 with tracer.span("expand") as expand_span:
                     prompts = []
                     for reserved in fresh:
-                        t0 = self.clock()
                         with tracer.span("prompt_build", round=stats.queries):
                             prompts.append(
                                 prompt_fn(
@@ -428,8 +423,6 @@ class BestFirstSearch:
                                     reserved.tactics_from_root(),
                                 )
                             )
-                        if metrics is not None:
-                            metrics.add_time("prompt_build", self.clock() - t0)
                         stats.queries += 1
                     node = inflight[0][0] if inflight else fresh[0]
                     if tracer.enabled:
@@ -445,7 +438,6 @@ class BestFirstSearch:
                             round=stats.nodes_expanded,
                             inflight=len(inflight) + len(fresh),
                         )
-                    t0 = self.clock()
                     with tracer.span("generation") as generation_span:
                         # Start the new rounds (at depth 1 the call runs
                         # inline, here), then wait for the oldest only:
@@ -458,8 +450,6 @@ class BestFirstSearch:
                         candidates = handle.result()
                         if tracer.enabled:
                             generation_span.set(candidates=len(candidates))
-                    if metrics is not None:
-                        metrics.add_time("generation", self.clock() - t0)
                     frontier.commit(node)
                     node.expanded = True
                     stats.nodes_expanded += 1

@@ -5,11 +5,14 @@ four instrumented stages — prompt build, candidate generation, tactic
 checking, and the final Qed replay — plus arbitrary named counters
 (checker verdict histograms, store hit/miss accounting, …).
 
-The sink is threaded *by duck type* through lower layers
-(:class:`repro.serapi.checker.ProofChecker` and
-:class:`repro.core.search.BestFirstSearch` accept any object with
-``add_time``/``observe_verdict``); those modules never import this
-one, keeping the layering acyclic.
+Stage timings come only from spans (:mod:`repro.obs.trace`):
+:meth:`repro.eval.runner.Runner.execute_task` runs every task under a
+tracer (record-less when untraced) and, at task end, folds its
+per-span-name totals into the task's sink once, through
+:data:`STAGE_SPANS` (:meth:`Metrics.add_span_totals`).  Only counters
+are threaded *by duck type* through lower layers (the checker's
+``incr("verdict.<v>")``); those modules never import this one, keeping
+the layering acyclic.
 
 Snapshots are plain JSON-able dicts, so process-pool workers can ship
 their per-task metrics back to the parent, which :meth:`Metrics.merge`\\ s
@@ -20,14 +23,19 @@ from __future__ import annotations
 
 import json
 import threading
-from contextlib import contextmanager
-from time import monotonic
 from typing import Dict, Optional
 
-__all__ = ["Metrics", "STAGES"]
+__all__ = ["Metrics", "STAGES", "STAGE_SPANS"]
 
-# The pipeline stages the engine times (in pipeline order).
-STAGES = ("prompt_build", "generation", "checking", "qed_replay")
+# The pipeline stages the engine times (in pipeline order), each with
+# the span whose totals make its row (the only such map).
+STAGE_SPANS = {
+    "prompt_build": "prompt_build",
+    "generation": "generation",
+    "checking": "tactic",
+    "qed_replay": "qed_replay",
+}
+STAGES = tuple(STAGE_SPANS)
 
 
 class Metrics:
@@ -36,8 +44,7 @@ class Metrics:
     def __init__(self) -> None:
         self._lock = threading.Lock()
         self._counters: Dict[str, int] = {}
-        self._stage_seconds: Dict[str, float] = {}
-        self._stage_calls: Dict[str, int] = {}
+        self._stages: Dict[str, dict] = {}
 
     # ------------------------------------------------------------------
     # Recording
@@ -49,23 +56,20 @@ class Metrics:
 
     def add_time(self, stage: str, seconds: float, calls: int = 1) -> None:
         with self._lock:
-            self._stage_seconds[stage] = (
-                self._stage_seconds.get(stage, 0.0) + seconds
-            )
-            self._stage_calls[stage] = self._stage_calls.get(stage, 0) + calls
+            cell = self._stages.setdefault(stage, {"seconds": 0.0, "calls": 0})
+            cell["seconds"] += seconds
+            cell["calls"] += calls
 
-    @contextmanager
-    def timer(self, stage: str):
-        started = monotonic()
-        try:
-            yield
-        finally:
-            self.add_time(stage, monotonic() - started)
-
-    def observe_verdict(self, verdict: str, elapsed: float) -> None:
-        """One checker call: histogram bucket + checking-stage time."""
-        self.incr(f"verdict.{verdict}")
-        self.add_time("checking", elapsed)
+    def add_span_totals(self, totals: dict, since: dict) -> None:
+        """Fold the ``{span: (seconds, calls)}`` a tracer gained after
+        ``since`` (its totals at task start, so a tracer outliving the
+        task is not counted twice) into the stage rows.  A stage whose
+        span never ran gets no row."""
+        for stage, span in STAGE_SPANS.items():
+            seconds, calls = totals.get(span, (0.0, 0))
+            before = since.get(span, (0.0, 0))
+            if calls > before[1]:
+                self.add_time(stage, seconds - before[0], calls - before[1])
 
     # ------------------------------------------------------------------
     # Reading / combining
@@ -90,11 +94,7 @@ class Metrics:
             return {
                 "counters": dict(self._counters),
                 "stages": {
-                    stage: {
-                        "seconds": self._stage_seconds[stage],
-                        "calls": self._stage_calls.get(stage, 0),
-                    }
-                    for stage in self._stage_seconds
+                    stage: dict(cell) for stage, cell in self._stages.items()
                 },
             }
 

@@ -24,7 +24,7 @@ rehydrates the resulting records into :class:`TheoremOutcome`\\ s.
 
 from __future__ import annotations
 
-import time
+import uuid
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence
 
@@ -54,6 +54,7 @@ __all__ = [
     "EvalRun",
     "Runner",
     "record_from_outcome",
+    "execution_trace_id",
 ]
 
 
@@ -119,6 +120,13 @@ class EvalRun:
         return sum(o.status is status for o in self.outcomes) / len(
             self.outcomes
         )
+
+
+def execution_trace_id(task: TheoremTask) -> str:
+    """One execution's trace id: the cache-key prefix selects the task
+    (``repro trace --trace-id``), the random suffix keeps reruns into
+    one trace file apart."""
+    return f"{task.cache_key()[:16]}-{uuid.uuid4().hex[:6]}"
 
 
 class Runner:
@@ -265,9 +273,7 @@ class Runner:
             reduced_dependencies=reduced_dependencies,
             attempt_salt=attempt_salt,
         )
-        search = BestFirstSearch(
-            checker, model, search_config, metrics=metrics, tracer=tracer
-        )
+        search = BestFirstSearch(checker, model, search_config, tracer=tracer)
         try:
             if repair_rounds > 0:
                 engine = RepairEngine(
@@ -301,7 +307,6 @@ class Runner:
         if result.proved:
             proof_text = result.proof_text()
             outcome.generated_proof = proof_text
-            started = time.monotonic()
             with tracer.span("qed_replay") as replay_span:
                 try:
                     # Qed: replay the full script from scratch.
@@ -311,8 +316,6 @@ class Runner:
                     outcome.revalidated = False
                 if tracer.enabled:
                     replay_span.set(revalidated=outcome.revalidated)
-            if metrics is not None:
-                metrics.add_time("qed_replay", time.monotonic() - started)
             outcome.similarity = normalized_similarity(
                 proof_text, theorem.proof_text
             )
@@ -337,8 +340,10 @@ class Runner:
         ``ExperimentConfig.trace`` is set, the task records into a
         fresh tracer whose spans ride back on ``TaskResult.trace`` —
         this is how process workers ship trace data to the sweep
-        parent.  With neither, the no-op tracer runs and the result is
-        byte-identical to an untraced execution.
+        parent.  With neither, a record-less ``Tracer(records=False)``
+        runs.  Either way the stage table comes from the spans: the
+        tracer's totals accrued during this task are folded into the
+        task metrics once, at the end (:meth:`Metrics.add_span_totals`).
 
         Kernel memo caches are cleared on entry (bounding their
         lifetime to one theorem search) and their hit/miss deltas ride
@@ -353,15 +358,15 @@ class Runner:
 
         own_tracer: Optional[Tracer] = None
         if tracer is None and getattr(self.config, "trace", False):
-            own_tracer = Tracer(trace_id=task.cache_key()[:16])
-            tracer = own_tracer
-        tr = tracer if tracer is not None else NULL_TRACER
+            tracer = own_tracer = Tracer(trace_id=execution_trace_id(task))
+        tracer = tracer if tracer is not None else Tracer(records=False)
+        totals_before = tracer.totals()
 
         kernel_cache.clear_caches()
         with kernel_cache.pinned():
             cache_before = kernel_cache.cache_stats()
             metrics = Metrics()
-            with tr.span(
+            with tracer.span(
                 "task",
                 theorem=task.theorem,
                 model=task.model,
@@ -396,7 +401,7 @@ class Runner:
                         queries=0,
                     )
                 delta = kernel_cache.stats_delta(cache_before)
-                if tr.enabled:
+                if tracer.enabled:
                     task_span.set(
                         status=record.status,
                         queries=record.queries,
@@ -405,6 +410,7 @@ class Runner:
             for name, cell in delta.items():
                 metrics.incr(f"kernel.cache.{name}.hits", cell["hits"])
                 metrics.incr(f"kernel.cache.{name}.misses", cell["misses"])
+        metrics.add_span_totals(tracer.totals(), since=totals_before)
         return TaskResult(
             record=record,
             metrics=metrics.snapshot(),

@@ -3,10 +3,12 @@
 The stack's aggregate metrics (:mod:`repro.eval.instrumentation`) say
 how much time and fuel a sweep spent; this package records *what each
 search actually did* and exports operational metrics a monitoring
-stack can scrape.  DESIGN.md §7.
+stack can scrape.  DESIGN.md §7.  Spans are the only stage clock: the
+metrics' stage table is folded from each task's span totals.
 
-* :mod:`repro.obs.trace` — :class:`Tracer`/:class:`Span` trees with a
-  zero-overhead no-op default, a thread-safe JSONL sink, and loaders;
+* :mod:`repro.obs.trace` — :class:`Tracer`/:class:`Span` trees with
+  per-span-name totals, a zero-overhead no-op default, a thread-safe
+  JSONL sink, and loaders;
 * :mod:`repro.obs.render` — the ``repro trace`` tree/summary renderer;
 * :mod:`repro.obs.prometheus` — text-format exposition of the eval
   metrics + service gauges with counter-vs-gauge typing.

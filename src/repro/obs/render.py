@@ -10,7 +10,8 @@ by concurrent service jobs) is grouped by trace id and printed as:
   time, and *self* time (total minus time attributed to child spans),
   which is the number the paper's failure-mode analysis needs: a
   FUELOUT whose time went 90 % into ``generation`` reads very
-  differently from one dominated by ``tactic`` checking.
+  differently from one dominated by ``tactic`` checking.  Over several
+  traces, one more table totals them all.
 """
 
 from __future__ import annotations
@@ -136,38 +137,32 @@ def stage_summary(spans: List[dict]) -> List[dict]:
 
     *self* time is a span's elapsed minus its direct children's —
     summed per kind, it attributes every second of the trace to exactly
-    one stage (modulo clock granularity).
+    one stage (modulo clock granularity).  ``spans`` may hold several
+    traces: span ids restart in every trace, so children are matched
+    to parents by ``(trace, parent)``.
     """
-    child_time: Dict[Optional[int], float] = {}
+    child_time: Dict[Tuple[object, Optional[int]], float] = {}
     for span in spans:
-        parent = span.get("parent")
+        parent = (span.get("trace"), span.get("parent"))
         child_time[parent] = child_time.get(parent, 0.0) + float(
             span.get("elapsed") or 0.0
         )
-    rows: Dict[str, Dict[str, float]] = {}
+    rows: Dict[str, dict] = {}
     for span in spans:
         name = str(span.get("name", "?"))
         row = rows.setdefault(
-            name, {"calls": 0, "total": 0.0, "self": 0.0}
+            name, {"name": name, "calls": 0, "total": 0.0, "self": 0.0}
         )
         elapsed = float(span.get("elapsed") or 0.0)
         row["calls"] += 1
         row["total"] += elapsed
-        row["self"] += max(
-            0.0, elapsed - child_time.get(span.get("span"), 0.0)
-        )
-    return sorted(
-        (
-            {"name": name, **row}
-            for name, row in rows.items()
-        ),
-        key=lambda row: row["self"],
-        reverse=True,
-    )
+        own = (span.get("trace"), span.get("span"))
+        row["self"] += max(0.0, elapsed - child_time.get(own, 0.0))
+    return sorted(rows.values(), key=lambda row: row["self"], reverse=True)
 
 
 def render_summary(spans: List[dict]) -> str:
-    """The self-time table for one trace."""
+    """The self-time table for the spans of one or more traces."""
     rows = stage_summary(spans)
     total_self = sum(row["self"] for row in rows) or 1.0
     lines = [

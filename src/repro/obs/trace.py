@@ -20,16 +20,22 @@ per-attempt story, so this module records it as a **span tree**:
   lock, so concurrent service jobs can share one trace file without
   tearing lines.  ``repro trace FILE`` renders it (:mod:`.render`).
 
-**The no-op default.**  Tracing must be observationally free when off:
-eval stores stay byte-identical, and the search hot loop must not pay
-for rendering goal previews nobody asked for.  Every traced layer
-therefore defaults to :data:`NULL_TRACER`, whose ``span()`` returns a
-shared singleton without allocating, and guards any *expensive
-attribute computation* (goal rendering, message truncation) behind
-``tracer.enabled``.  This module imports nothing from the rest of
-``repro`` — it sits below every layer that uses it, keeping the
-dependency graph acyclic (same discipline as the duck-typed metrics
-sink).
+**The stage clock.**  Every tracer keeps per-span-name ``(seconds,
+calls)`` totals (:meth:`Tracer.totals`); the stage table of
+:class:`~repro.eval.instrumentation.Metrics` is folded from them, so
+it cannot drift from the trace.
+
+**The disabled tracers.**  Tracing must be observationally free when
+off: eval stores stay byte-identical, and the search hot loop must not
+pay for rendering goal previews nobody asked for.  An untraced task
+runs under ``Tracer(records=False)`` (totals, no span records); every
+traced layer used on its own defaults to :data:`NULL_TRACER`, whose
+``span()`` returns a shared singleton without allocating.  Both have
+``enabled = False``, the guard for any *expensive attribute
+computation* (goal rendering, message truncation).  This module
+imports nothing from the rest of ``repro`` — it sits below every layer
+that uses it, keeping the dependency graph acyclic (same discipline as
+the duck-typed metrics sink).
 """
 
 from __future__ import annotations
@@ -39,7 +45,7 @@ import threading
 import time
 import uuid
 from pathlib import Path
-from typing import Callable, Dict, Iterable, List, Optional
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 __all__ = [
     "Span",
@@ -141,6 +147,9 @@ class NullTracer:
     def export(self) -> List[dict]:
         return []
 
+    def totals(self) -> Dict[str, Tuple[float, int]]:
+        return {}
+
 
 _NULL_SPAN = _NullSpan()
 
@@ -154,16 +163,20 @@ class Tracer:
     A tracer is *single-writer*: one proof attempt / service job owns
     it for the duration (the span stack assumes properly nested use
     from one thread).  The lock only guards the finished-span list so
-    :meth:`export` may be called from another thread afterwards.
-    """
+    :meth:`export` may be called from another thread afterwards;
+    :meth:`totals` is for the owner.
 
-    enabled = True
+    ``records=False`` keeps only the totals: no span records, and
+    ``enabled`` is False, so no span attribute is ever computed.
+    """
 
     def __init__(
         self,
         trace_id: Optional[str] = None,
         clock: Callable[[], float] = time.monotonic,
+        records: bool = True,
     ) -> None:
+        self.enabled = records
         self.trace_id = trace_id or uuid.uuid4().hex[:16]
         self.clock = clock
         self._epoch = clock()
@@ -171,24 +184,26 @@ class Tracer:
         self._seq = 0
         self._stack: List[Span] = []
         self._finished: List[Span] = []
+        self._totals: Dict[str, List] = {}
 
     def span(self, name: str, **attrs: object) -> Span:
         """Open a child of the innermost open span (context manager)."""
+        start = self.clock() - self._epoch
+        if not self.enabled:
+            return Span(self, name, 0, None, start, attrs)
         self._seq += 1
         parent = self._stack[-1].span_id if self._stack else None
-        span = Span(
-            self,
-            name,
-            self._seq,
-            parent,
-            self.clock() - self._epoch,
-            attrs,
-        )
+        span = Span(self, name, self._seq, parent, start, attrs)
         self._stack.append(span)
         return span
 
     def _finish(self, span: Span) -> None:
         span.elapsed = (self.clock() - self._epoch) - span.start
+        cell = self._totals.setdefault(span.name, [0.0, 0])
+        cell[0] += span.elapsed
+        cell[1] += 1
+        if not self.enabled:
+            return
         # Pop to (and including) the finishing span; mis-nested exits
         # close the abandoned inner spans rather than corrupting later
         # parentage.
@@ -198,6 +213,10 @@ class Tracer:
                 break
         with self._lock:
             self._finished.append(span)
+
+    def totals(self) -> Dict[str, Tuple[float, int]]:
+        """``{span name: (seconds, calls)}`` over the finished spans."""
+        return {name: (c[0], c[1]) for name, c in self._totals.items()}
 
     def export(self) -> List[dict]:
         """Finished spans as JSON-able dicts, in chronological order."""

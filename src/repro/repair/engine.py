@@ -113,7 +113,6 @@ class RepairEngine:
             base.checker,
             base.generator,
             config,
-            metrics=base.metrics,
             clock=base.clock,
             generate_fn=base.generate,
             tracer=base.tracer,

@@ -45,7 +45,6 @@ class CheckResult:
     verdict: Verdict
     state: Optional[ProofState] = None  # set when VALID
     message: str = ""
-    elapsed: float = 0.0
 
     @property
     def ok(self) -> bool:
@@ -64,10 +63,10 @@ class ProofChecker:
         clock: Callable[[], float] = time.monotonic,
         tracer=None,
     ) -> None:
-        """``metrics`` is an optional duck-typed sink (an object with
-        ``observe_verdict(verdict, elapsed)``, e.g.
-        :class:`repro.eval.instrumentation.Metrics`) fed one
-        observation per :meth:`check` call.
+        """``metrics`` is an optional duck-typed sink (``incr(name)``,
+        e.g. :class:`repro.eval.instrumentation.Metrics`) counting one
+        ``verdict.<verdict>`` per :meth:`check`; checking *time* comes
+        from the ``tactic`` spans alone.
 
         ``state_keys`` selects the duplicate-detection key:
         ``"fingerprint"`` (default) uses the O(1) structural hash,
@@ -75,14 +74,15 @@ class ProofChecker:
         reference oracle for the differential tests and for debugging
         suspected fingerprint collisions.
 
-        ``clock`` is the monotonic time source used for the per-tactic
-        :class:`~repro.deadline.Deadline` and ``elapsed`` accounting —
-        injectable so timeout paths are testable without real stalls.
+        ``clock`` is the monotonic time source of the per-tactic
+        :class:`~repro.deadline.Deadline` — injectable so timeout paths
+        are testable without real stalls.
 
         ``tracer`` is an optional :class:`repro.obs.trace.Tracer`; when
-        given, every :meth:`check` call records a ``tactic`` span with
-        the candidate text, verdict, and message.  The default no-op
-        tracer makes tracing observationally free when off."""
+        given, every :meth:`check` call records a ``tactic`` span (with
+        the candidate text, verdict, and message if the tracer is
+        enabled).  The default no-op tracer makes tracing
+        observationally free when off."""
         if state_keys not in ("fingerprint", "string"):
             raise ValueError(f"unknown state_keys mode: {state_keys!r}")
         self.env = env
@@ -148,7 +148,7 @@ class ProofChecker:
                     message=result.message[:120],
                 )
         if self.metrics is not None:
-            self.metrics.observe_verdict(result.verdict.value, result.elapsed)
+            self.metrics.incr(f"verdict.{result.verdict.value}")
         return result
 
     def _check(
@@ -157,52 +157,32 @@ class ProofChecker:
         tactic_text: str,
         seen_keys: Optional[Set] = None,
     ) -> CheckResult:
-        started = self.clock()
         # One deadline governs the whole check: the cooperative
         # interrupt inside run_tactic (combinators, auto/lia loops,
         # reduction budgets all poll it) and the post-hoc slow-tactic
         # verdict below share this clock and expiry, so both paths
-        # agree on verdict, message, and elapsed accounting.
+        # agree on verdict and message.
         deadline = Deadline.after(self.tactic_timeout, clock=self.clock)
         try:
             node = parse_tactic(tactic_text)
         except ParseError as exc:
-            # Parse time counts too: a checker spends real wall-clock
-            # rejecting malformed candidates, and instrumentation
-            # would under-count checking time with elapsed=0 here.
-            return CheckResult(
-                Verdict.REJECTED,
-                message=f"parse: {exc}",
-                elapsed=self.clock() - started,
-            )
+            return CheckResult(Verdict.REJECTED, message=f"parse: {exc}")
         try:
             new_state = run_tactic(self.env, state, node, deadline=deadline)
         except TacticTimeout as exc:
-            return CheckResult(
-                Verdict.TIMEOUT,
-                message=str(exc),
-                elapsed=self.clock() - started,
-            )
+            return CheckResult(Verdict.TIMEOUT, message=str(exc))
         except (TacticError, ReproError) as exc:
-            return CheckResult(
-                Verdict.REJECTED,
-                message=str(exc),
-                elapsed=self.clock() - started,
-            )
-        elapsed = self.clock() - started
+            return CheckResult(Verdict.REJECTED, message=str(exc))
         if deadline.expired():
             # A tactic that ran past its budget without hitting a
             # cooperative checkpoint: same verdict and message as the
             # in-flight TacticTimeout path.
-            return CheckResult(
-                Verdict.TIMEOUT, message=TIMEOUT_MESSAGE, elapsed=elapsed
-            )
+            return CheckResult(Verdict.TIMEOUT, message=TIMEOUT_MESSAGE)
         if seen_keys is not None:
             key = self.state_key(new_state)
             if key in seen_keys:
                 return CheckResult(
                     Verdict.DUPLICATE,
                     message="proof state already in the search tree",
-                    elapsed=elapsed,
                 )
-        return CheckResult(Verdict.VALID, state=new_state, elapsed=elapsed)
+        return CheckResult(Verdict.VALID, state=new_state)

@@ -50,7 +50,7 @@ from urllib.parse import parse_qs, urlparse
 from repro.errors import CorpusError, GenerationError
 from repro.eval.config import ExperimentConfig
 from repro.eval.instrumentation import Metrics
-from repro.eval.runner import Runner
+from repro.eval.runner import Runner, execution_trace_id
 from repro.eval.tasks import CACHE_KEY_VERSION, task_from_json
 from repro.llm import get_model
 from repro.obs.prometheus import render_prometheus
@@ -278,7 +278,7 @@ class ProverService:
         if self.trace_sink is not None:
             # One trace per executed job, rooted at a "job" span so the
             # rendered tree shows queueing context above the search.
-            tracer = Tracer(trace_id=task.cache_key()[:16])
+            tracer = Tracer(trace_id=execution_trace_id(task))
             with tracer.span("job", theorem=task.theorem, model=task.model):
                 result = self.runner.execute_task(
                     task, model_override=generator, tracer=tracer

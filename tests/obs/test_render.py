@@ -117,3 +117,60 @@ class TestStageSummary:
         assert lines[0].split() == ["stage", "calls", "total", "self", "self%"]
         assert any("tactic" in line for line in lines[1:])
         assert all("%" in line for line in lines[1:])
+
+
+class TestCrossTraceSummary:
+    # Two traces whose span ids collide: 1 → 2 in both, with different
+    # child times, so a bare-parent key would move self time across.
+    SPANS = [
+        {"trace": "a", "span": 1, "parent": None, "name": "search",
+         "elapsed": 10.0},
+        {"trace": "a", "span": 2, "parent": 1, "name": "tactic",
+         "elapsed": 9.0},
+        {"trace": "b", "span": 1, "parent": None, "name": "search",
+         "elapsed": 4.0},
+        {"trace": "b", "span": 2, "parent": 1, "name": "tactic",
+         "elapsed": 1.0},
+    ]
+
+    def test_children_match_parents_within_their_own_trace(self):
+        rows = {row["name"]: row for row in stage_summary(self.SPANS)}
+        # a: 10 - 9 = 1, b: 4 - 1 = 3.  A bare-parent key would give
+        # max(0, 10 - 10) + max(0, 4 - 10) = 0.
+        assert rows["search"]["self"] == 4.0
+        assert rows["tactic"]["self"] == 10.0
+
+    def test_combined_calls_are_the_sum_over_traces(self):
+        per_trace = [
+            {row["name"]: row for row in stage_summary(spans)}
+            for spans in group_traces(self.SPANS).values()
+        ]
+        combined = {row["name"]: row for row in stage_summary(self.SPANS)}
+        for name in ("search", "tactic"):
+            assert combined[name]["calls"] == sum(
+                rows[name]["calls"] for rows in per_trace
+            )
+            assert combined[name]["self"] == sum(
+                rows[name]["self"] for rows in per_trace
+            )
+
+    def test_cli_prints_one_combined_table_over_several_traces(
+        self, tmp_path, capsys
+    ):
+        from repro import cli
+        from repro.obs.trace import JsonlSink
+
+        path = tmp_path / "two.jsonl"
+        JsonlSink(path).write(
+            dict(span, start=0.0, attrs={}) for span in self.SPANS
+        )
+        assert cli.main(["trace", str(path), "--summary"]) == 0
+        out = capsys.readouterr().out
+        assert "all 2 traces" in out
+        combined = out.split("all 2 traces", 1)[1]
+        tactic = next(l for l in combined.splitlines() if "tactic" in l)
+        assert tactic.split()[:2] == ["tactic", "2"]
+        # One selected trace: its own table only.
+        argv = ["trace", str(path), "--summary", "--trace-id", "a"]
+        assert cli.main(argv) == 0
+        assert "traces" not in capsys.readouterr().out

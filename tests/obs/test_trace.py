@@ -104,6 +104,49 @@ class TestTracer:
         assert NULL_TRACER.enabled is False
 
 
+class TestSpanTotals:
+    def _run(self, tracer, clock):
+        with tracer.span("expand"):
+            clock.tick(1.0)
+            with tracer.span("tactic") as span:
+                span.set(verdict="valid")
+                clock.tick(0.5)
+            with tracer.span("tactic"):
+                clock.tick(0.25)
+
+    def test_tracer_totals_per_span_name(self):
+        clock = FakeClock()
+        tracer = Tracer(clock=clock)
+        self._run(tracer, clock)
+        assert tracer.totals() == {
+            "tactic": (0.75, 2),
+            "expand": (1.75, 1),
+        }
+
+    def test_record_less_tracer_keeps_the_same_totals_only(self):
+        clock = FakeClock()
+        tracer = Tracer(clock=clock, records=False)
+        self._run(tracer, clock)
+        assert tracer.enabled is False
+        assert tracer.export() == []
+        assert tracer.totals() == {
+            "tactic": (0.75, 2),
+            "expand": (1.75, 1),
+        }
+
+    def test_totals_count_spans_closed_by_an_exception(self):
+        tracer = Tracer(records=False)
+        with pytest.raises(RuntimeError):
+            with tracer.span("generation"):
+                raise RuntimeError("endpoint down")
+        assert tracer.totals()["generation"][1] == 1
+
+    def test_null_tracer_has_no_totals(self):
+        with NULL_TRACER.span("tactic"):
+            pass
+        assert NULL_TRACER.totals() == {}
+
+
 class TestNullTracer:
     def test_span_returns_a_shared_noop(self):
         a = NULL_TRACER.span("x", attr=1)

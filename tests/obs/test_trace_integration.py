@@ -19,6 +19,7 @@ from dataclasses import replace
 
 from repro.eval import ExperimentConfig, Runner, RunStore, SerialExecutor
 from repro.eval.tasks import TheoremTask, sweep_tasks
+from repro.obs.render import group_traces, render_trace
 from repro.obs.trace import JsonlSink, load_spans
 
 CONFIG = ExperimentConfig(max_theorems=3, fuel=16)
@@ -149,3 +150,27 @@ class TestSpanTreeShape:
         raise AssertionError(
             "no provable cell in the mini-sweep; widen the probe"
         )
+
+
+class TestTraceIds:
+    def test_reruns_into_one_sink_render_as_separate_traces(
+        self, project, tmp_path
+    ):
+        # JsonlSink appends, so a rerun of the same task into the same
+        # file must not reuse the first run's trace id.
+        runner = Runner(project, replace(CONFIG, trace=True))
+        task = TheoremTask.from_config(
+            "rev_involutive", "gpt-4o-mini", False, CONFIG
+        )
+        sink = JsonlSink(tmp_path / "reruns.jsonl")
+        for _ in range(2):
+            sink.write(runner.execute_task(task).trace)
+        traces = group_traces(load_spans(tmp_path / "reruns.jsonl"))
+        assert len(traces) == 2
+        for trace_id, spans in traces.items():
+            # The cache-key prefix still selects the task's runs.
+            assert trace_id.startswith(task.cache_key()[:16])
+            roots = [span for span in spans if span["parent"] is None]
+            assert [root["name"] for root in roots] == ["task"]
+            tree = render_trace(spans).splitlines()
+            assert sum(line.startswith("task ") for line in tree) == 1
