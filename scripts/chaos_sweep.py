@@ -13,7 +13,10 @@ Runs the gpt-4o-mini mini-sweep three ways —
 and asserts the two halves of the contract:
 
 * the transient sweep's outcome records are **byte-identical** to the
-  baseline's (the resilient layer absorbed all of the chaos);
+  baseline's (the resilient layer absorbed all of the chaos), and no
+  query tripped the circuit breaker or fell back: the plan fails a
+  prompt at most ``max_failures=2`` times in a row, below the breaker
+  threshold, and a success resets the count;
 * the kill sweep completes with exactly the victim recorded as CRASH
   and every other record equal to baseline.
 
@@ -105,6 +108,8 @@ def main() -> int:
             project, chaos_cfg, tmp / "chaos.jsonl", SerialExecutor()
         )
         retries = chaos_runner.metrics.counter("llm.retries")
+        breaker_opens = chaos_runner.metrics.counter("llm.breaker_opens")
+        fallbacks = chaos_runner.metrics.counter("llm.fallback_queries")
         identical = (tmp / "chaos.jsonl").read_bytes() == (
             tmp / "clean.jsonl"
         ).read_bytes()
@@ -117,9 +122,18 @@ def main() -> int:
             failures.append(
                 "transient-fault store differs from fault-free store"
             )
+        if breaker_opens or fallbacks:
+            failures.append(
+                f"transient plan opened the breaker {breaker_opens} "
+                f"times and fell back {fallbacks} times; both must be 0"
+            )
         lines.append(
             f"transient sweep: {retries} retries absorbed, "
             f"byte-identical={identical}"
+        )
+        lines.append(
+            f"llm.retries={retries} llm.breaker_opens={breaker_opens} "
+            f"llm.fallback_queries={fallbacks}"
         )
 
         print("[3/3] permanent worker-kill chaos ...", file=sys.stderr)

@@ -8,7 +8,7 @@ o1-style :class:`WholeProofModel`.
 from repro.llm.interface import Candidate, TacticGenerator
 from repro.llm.models import SimulatedModel, available_models, get_model
 from repro.llm.profiles import PROFILES, ModelProfile, WINDOW_SCALE
-from repro.llm.resilient import ResilientGenerator, RetryPolicy, stable_jitter
+from repro.llm.resilient import ResilientGenerator, RetryPolicy
 from repro.llm.wholeproof import WholeProofModel
 
 __all__ = [
@@ -22,6 +22,5 @@ __all__ = [
     "WINDOW_SCALE",
     "ResilientGenerator",
     "RetryPolicy",
-    "stable_jitter",
     "WholeProofModel",
 ]

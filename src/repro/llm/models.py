@@ -22,8 +22,9 @@ from repro.llm.interface import Candidate, GenerationRequest, TacticGenerator
 from repro.llm.profiles import PROFILES, ModelProfile
 from repro.llm.promptview import parse_prompt
 from repro.llm.retrieval import hint_head_priors, hint_proposals, retrieve
-from repro.llm.sampling import rank_and_sample, stable_seed
+from repro.llm.sampling import rank_and_sample
 from repro.llm.cost import UsageMeter
+from repro.resilience import stable_seed
 
 __all__ = ["SimulatedModel", "get_model", "available_models"]
 

@@ -6,12 +6,10 @@ stalled connections, truncated payloads.  :class:`ResilientGenerator`
 gives the search engine the retry/timeout discipline such an endpoint
 needs, without the engine knowing anything changed:
 
-* **per-query timeouts** — post-hoc via an injectable monotonic clock
-  (and optionally *hard*, via a watchdog thread, for calls that can
-  genuinely hang);
+* **per-query timeouts** — post-hoc via an injectable monotonic clock;
 * **bounded retries** with exponential backoff and *deterministic*
-  jitter (a hash of the prompt and attempt number, not an RNG — two
-  identical runs sleep identically);
+  jitter (a hash of the model, prompt and retry number, not an RNG —
+  two identical runs sleep identically);
 * a **circuit breaker** — after ``breaker_threshold`` consecutive
   primary failures the primary is skipped entirely for
   ``breaker_cooldown`` seconds, then probed half-open;
@@ -19,11 +17,12 @@ needs, without the engine knowing anything changed:
   retries are exhausted) queries are served by a configurable fallback
   generator instead of failing the whole search.
 
-The clock and sleep functions are injectable, so every timing path is
-unit-testable with a fake clock and **no real sleeps**.  All activity
-is surfaced as metrics counters (``llm.retries``,
-``llm.breaker_opens``, ``llm.fallback_queries``, …) through the
-duck-typed sink used by the rest of the pipeline
+The backoff rule and the breaker are the shared primitives of
+:mod:`repro.resilience`.  The clock and sleep functions are
+injectable, so every timing path is unit-testable with a fake clock
+and **no real sleeps**.  All activity is surfaced as metrics counters
+(``llm.retries``, ``llm.breaker_opens``, ``llm.fallback_queries``, …)
+through the duck-typed sink used by the rest of the pipeline
 (:class:`repro.eval.instrumentation.Metrics`).
 
 Determinism note: the wrapper never alters a successful response, so
@@ -35,7 +34,6 @@ never leak between tasks (records stay order-independent).
 
 from __future__ import annotations
 
-import hashlib
 import threading
 import time
 from dataclasses import dataclass
@@ -52,22 +50,9 @@ from repro.llm.interface import (
     GenerationRequest,
     TacticGenerator,
 )
+from repro.resilience import CircuitBreaker, backoff, stable_jitter
 
 __all__ = ["RetryPolicy", "ResilientGenerator", "stable_jitter"]
-
-
-def stable_jitter(*parts: object) -> float:
-    """A deterministic stand-in for ``random.random()`` in [0, 1).
-
-    Hashing the identifying parts (model, prompt, attempt) gives every
-    retry a different but perfectly reproducible jitter — chaos runs
-    stay bit-replayable, and herd-avoidance still works because
-    different prompts hash apart.
-    """
-    digest = hashlib.sha256(
-        "\x1f".join(str(p) for p in parts).encode("utf-8")
-    ).digest()
-    return int.from_bytes(digest[:8], "big") / 2**64
 
 
 @dataclass(frozen=True)
@@ -76,51 +61,12 @@ class RetryPolicy:
 
     max_attempts: int = 4  # total tries per query against the primary
     base_delay: float = 0.05  # seconds before the first retry
-    backoff_factor: float = 2.0
     max_delay: float = 2.0  # cap on any single backoff sleep
     jitter: float = 0.25  # max extra delay, as a fraction of the delay
     rate_limit_delay: float = 0.5  # backoff floor after a 429
     query_timeout: Optional[float] = 30.0  # per-query budget (seconds)
-    hard_timeout: bool = False  # enforce query_timeout with a watchdog
     breaker_threshold: int = 5  # consecutive failures that open it
     breaker_cooldown: float = 30.0  # seconds open before half-open
-
-    def delay_for(self, retry: int, error: Exception, jitter_key: str) -> float:
-        """Backoff before retry number ``retry`` (0-based) of a query."""
-        delay = min(
-            self.max_delay, self.base_delay * self.backoff_factor**retry
-        )
-        if isinstance(error, RateLimitError):
-            delay = max(delay, self.rate_limit_delay)
-        return delay * (1.0 + self.jitter * stable_jitter(jitter_key, retry))
-
-
-def _call_with_hard_timeout(fn, args, timeout: float):
-    """Run ``fn(*args)`` on a watchdog thread; abandon it on timeout.
-
-    This is the only defence against a primary call that never returns
-    (the post-hoc clock check cannot fire if the call doesn't come
-    back).  The abandoned daemon thread's eventual result is discarded.
-    """
-    box: List[object] = []
-
-    def work() -> None:
-        try:
-            box.append(("ok", fn(*args)))
-        except BaseException as exc:  # ship the failure to the caller
-            box.append(("err", exc))
-
-    thread = threading.Thread(target=work, daemon=True)
-    thread.start()
-    thread.join(timeout)
-    if not box:
-        raise GenerationTimeout(
-            f"model query exceeded its {timeout:g}s budget (stalled call)"
-        )
-    tag, value = box[0]
-    if tag == "err":
-        raise value  # type: ignore[misc]
-    return value
 
 
 class ResilientGenerator:
@@ -152,15 +98,15 @@ class ResilientGenerator:
         self.provides_log_probs = getattr(
             primary, "provides_log_probs", False
         )
-        # Circuit breaker: closed -> (threshold failures) -> open for
-        # cooldown -> half-open (one trial) -> closed or open again.
-        # The lock keeps the counters coherent when the pipelined
+        # The lock keeps the breaker coherent when the pipelined
         # search drives one wrapper from several generation threads;
         # the single-threaded paths pay one uncontended acquire.
         self._breaker_lock = threading.Lock()
-        self._consecutive_failures = 0
-        self._open_until: Optional[float] = None
-        self._half_open = False
+        self.breaker = CircuitBreaker(
+            self.policy.breaker_threshold,
+            self.policy.breaker_cooldown,
+            clock,
+        )
 
     # ------------------------------------------------------------------
     # Breaker bookkeeping
@@ -169,36 +115,19 @@ class ResilientGenerator:
     def breaker_open(self) -> bool:
         """True while the primary is being skipped entirely."""
         with self._breaker_lock:
-            if self._open_until is None:
-                return False
-            if self.clock() >= self._open_until:
-                # Cooldown over: half-open, the next query probes the
-                # primary once (a single failure reopens immediately).
-                self._open_until = None
-                self._half_open = True
-                return False
-            return True
+            return self.breaker.is_open()
 
-    def _trip_locked(self) -> None:
-        self._open_until = self.clock() + self.policy.breaker_cooldown
-        self._half_open = False
-        self._incr("llm.breaker_opens")
-
-    def _note_failure(self) -> None:
+    def _note_failure(self) -> bool:
+        """Count one primary failure; True while the breaker is open."""
         with self._breaker_lock:
-            self._consecutive_failures += 1
             self._incr("llm.primary_failures")
-            if (
-                self._half_open
-                or self._consecutive_failures
-                >= self.policy.breaker_threshold
-            ):
-                self._trip_locked()
+            if self.breaker.record_failure():
+                self._incr("llm.breaker_opens")
+            return self.breaker.is_open()
 
     def _note_success(self) -> None:
         with self._breaker_lock:
-            self._consecutive_failures = 0
-            self._half_open = False
+            self.breaker.record_success()
 
     def _incr(self, name: str) -> None:
         if self.metrics is not None:
@@ -210,30 +139,41 @@ class ResilientGenerator:
 
     def generate(self, prompt: str, k: int) -> List[Candidate]:
         if self.breaker_open():
-            return self._degrade(prompt, k, None)
+            return self._degrade(prompt, k, None, 0)
+        policy = self.policy
         last_error: Optional[TransientModelError] = None
-        for attempt in range(self.policy.max_attempts):
-            if attempt:
+        attempts = 0
+        while attempts < policy.max_attempts:
+            if attempts:
                 self._incr("llm.retries")
-                assert last_error is not None
+                retry = attempts - 1
                 self.sleep(
-                    self.policy.delay_for(
-                        attempt - 1,
-                        last_error,
-                        f"{self.name}\x1f{prompt}",
+                    backoff(
+                        retry,
+                        self.name,
+                        prompt,
+                        retry,
+                        base=policy.base_delay,
+                        cap=policy.max_delay,
+                        jitter=policy.jitter,
+                        floor=(
+                            policy.rate_limit_delay
+                            if isinstance(last_error, RateLimitError)
+                            else 0.0
+                        ),
                     )
                 )
+            attempts += 1
             try:
                 result = self._call_primary(prompt, k)
             except TransientModelError as exc:
                 last_error = exc
-                self._note_failure()
-                if self.breaker_open():
+                if self._note_failure():
                     break  # tripped mid-query: stop hammering
                 continue
             self._note_success()
             return result
-        return self._degrade(prompt, k, last_error)
+        return self._degrade(prompt, k, last_error, attempts)
 
     def generate_batch(
         self, requests: "List[GenerationRequest]"
@@ -252,12 +192,7 @@ class ResilientGenerator:
     def _call_primary(self, prompt: str, k: int) -> List[Candidate]:
         timeout = self.policy.query_timeout
         started = self.clock()
-        if timeout is not None and self.policy.hard_timeout:
-            result = _call_with_hard_timeout(
-                self.primary.generate, (prompt, k), timeout
-            )
-        else:
-            result = self.primary.generate(prompt, k)
+        result = self.primary.generate(prompt, k)
         if timeout is not None and self.clock() - started > timeout:
             # The call returned, but only after blowing its budget — a
             # real client would have abandoned it (stalled connection).
@@ -271,15 +206,15 @@ class ResilientGenerator:
         prompt: str,
         k: int,
         last_error: Optional[Exception],
+        attempts: int,
     ) -> List[Candidate]:
         if self.fallback is not None:
             self._incr("llm.fallback_queries")
             return self.fallback.generate(prompt, k)
         if last_error is not None:
             raise ModelExhaustedError(
-                f"primary model {self.name} failed after "
-                f"{self.policy.max_attempts} attempts and no fallback is "
-                f"configured: {last_error}"
+                f"primary model {self.name} failed after {attempts} "
+                f"attempts and no fallback is configured: {last_error}"
             ) from last_error
         raise ModelExhaustedError(
             f"circuit breaker open for {self.name} and no fallback is "

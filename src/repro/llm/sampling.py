@@ -1,13 +1,13 @@
 """Deterministic candidate ranking and noise.
 
 Every generation is a pure function of (model name, prompt, k): the
-RNG is seeded from a digest of those, so whole experiments replay
-bit-identically — a property the evaluation and the tests rely on.
+RNG is seeded from a digest of those (:func:`repro.resilience.stable_seed`,
+re-exported here), so whole experiments replay bit-identically — a
+property the evaluation and the tests rely on.
 """
 
 from __future__ import annotations
 
-import hashlib
 import math
 import random
 from typing import Dict, List
@@ -15,13 +15,9 @@ from typing import Dict, List
 from repro.llm.heuristics import Proposal
 from repro.llm.interface import Candidate
 from repro.llm.profiles import ModelProfile
+from repro.resilience import stable_seed
 
 __all__ = ["stable_seed", "attempt_seed", "rank_and_sample", "corrupt"]
-
-
-def stable_seed(*parts: str) -> int:
-    digest = hashlib.sha256("\x1f".join(parts).encode("utf-8")).digest()
-    return int.from_bytes(digest[:8], "big")
 
 
 def attempt_seed(task_key: str, attempt: int) -> str:
@@ -37,10 +33,7 @@ def attempt_seed(task_key: str, attempt: int) -> str:
     """
     if attempt < 0:
         raise ValueError("attempt index must be >= 0")
-    digest = hashlib.sha256(
-        f"{task_key}\x1f{attempt}".encode("utf-8")
-    ).hexdigest()
-    return digest[:16]
+    return f"{stable_seed(task_key, attempt):016x}"
 
 
 _SUFFIX_SWAPS = [("_l", "_r"), ("_r", "_l"), ("_1", "_2"), ("_2", "_1")]

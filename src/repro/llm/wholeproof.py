@@ -20,7 +20,7 @@ from typing import List
 from repro.llm.heuristics import propose
 from repro.llm.promptview import parse_prompt
 from repro.llm.retrieval import hint_proposals
-from repro.llm.sampling import stable_seed
+from repro.resilience import stable_seed
 
 __all__ = ["WholeProofModel"]
 

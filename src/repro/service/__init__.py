@@ -49,7 +49,6 @@ from repro.service.server import (
 )
 from repro.service.supervisor import (
     Supervisor,
-    SupervisorConfig,
     WorkerSpec,
     WorkerState,
 )
@@ -77,7 +76,6 @@ __all__ = [
     "JobJournal",
     "JournalEntry",
     "Supervisor",
-    "SupervisorConfig",
     "WorkerSpec",
     "WorkerState",
     "ClusterConfig",

@@ -12,7 +12,7 @@ single-flights on :meth:`~repro.eval.tasks.TheoremTask.cache_key`, so
 a duplicate submit joins the in-flight job instead of starting a
 second search) and every ``GET`` is read-only — so :meth:`_request`
 retries transient transport errors with bounded, deterministic
-seeded backoff (:func:`~repro.llm.resilient.stable_jitter`).  HTTP
+seeded backoff (:func:`repro.resilience.backoff`).  HTTP
 *error responses* (4xx/5xx) are answers, not transport faults, and
 are never retried.  Exhaustion raises :class:`ProverTransportError`;
 ``client.transport_retries`` counts retries for observability.
@@ -30,13 +30,14 @@ from __future__ import annotations
 
 import http.client
 import json
+import math
 import time
 import urllib.error
 import urllib.request
 from typing import Callable, Optional
 
 from repro.errors import ReproError
-from repro.llm.resilient import stable_jitter
+from repro.resilience import backoff
 
 __all__ = [
     "ProverClient",
@@ -44,6 +45,8 @@ __all__ = [
     "ProverTransportError",
     "JobTimeout",
 ]
+
+RETRY_BASE_DELAY = 0.05  # seconds before the first transport retry
 
 
 class ProverServiceError(ReproError):
@@ -73,13 +76,11 @@ class ProverClient:
         base_url: str,
         timeout: float = 30.0,
         retries: int = 3,
-        retry_base_delay: float = 0.05,
         sleep: Callable[[float], None] = time.sleep,
     ) -> None:
         self.base_url = base_url.rstrip("/")
         self.timeout = timeout
         self.retries = max(0, retries)
-        self.retry_base_delay = retry_base_delay
         self.sleep = sleep
         #: Transport retries performed over this client's lifetime.
         self.transport_retries = 0
@@ -109,9 +110,16 @@ class ProverClient:
         for attempt in range(self.retries + 1):
             if attempt:
                 self.transport_retries += 1
-                delay = self.retry_base_delay * 2 ** (attempt - 1)
+                # Uncapped: the retry count bounds the wait.
                 self.sleep(
-                    delay * (1.0 + stable_jitter(path, attempt))
+                    backoff(
+                        attempt - 1,
+                        path,
+                        attempt,
+                        base=RETRY_BASE_DELAY,
+                        cap=math.inf,
+                        jitter=1.0,
+                    )
                 )
             try:
                 return self._open(request)

@@ -45,7 +45,7 @@ import json
 import math
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
@@ -63,11 +63,7 @@ from repro.service.client import (
 from repro.service.journal import JobJournal
 from repro.service.proofcache import ProofCache
 from repro.service.server import build_http_server, install_sigterm_drain
-from repro.service.supervisor import (
-    Supervisor,
-    SupervisorConfig,
-    WorkerSpec,
-)
+from repro.service.supervisor import Supervisor, WorkerSpec
 
 __all__ = [
     "ClusterConfig",
@@ -108,7 +104,6 @@ class ClusterConfig:
     poll: float = 2.0  # router->worker long-poll per round
     # Chaos (see testing/faults.ClusterFaultPlan).
     cluster_faults: Optional[str] = None
-    supervisor: SupervisorConfig = field(default_factory=SupervisorConfig)
 
     def __post_init__(self) -> None:
         if self.workers < 1:
@@ -257,9 +252,7 @@ class ProverCluster:
             )
             for index in range(self.config.workers)
         ]
-        self.supervisor = Supervisor(
-            specs, self.config.supervisor, metrics=self.metrics
-        )
+        self.supervisor = Supervisor(specs, metrics=self.metrics)
         self.ring = HashRing(self.config.workers, self.config.vnodes)
         self._lock = threading.RLock()
         self._jobs: Dict[str, ClusterJob] = {}

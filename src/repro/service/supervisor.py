@@ -10,15 +10,16 @@ localhost port.  The supervisor:
 * **health-probes** them (``GET /healthz`` with a short timeout) on a
   background loop, and watches for process death between probes;
 * **restarts** crashed workers with bounded exponential backoff and
-  deterministic seeded jitter
-  (:func:`~repro.llm.resilient.stable_jitter` — the same discipline
-  :class:`~repro.llm.resilient.ResilientGenerator` applies to model
-  endpoints, applied to whole processes);
+  deterministic seeded jitter;
 * trips a **per-worker circuit breaker**: after
-  ``breaker_threshold`` consecutive probe/transport failures the
-  worker is marked unroutable for ``breaker_cooldown`` seconds, so the
+  ``BREAKER_THRESHOLD`` consecutive probe/transport failures the
+  worker is marked unroutable for ``BREAKER_COOLDOWN`` seconds, so the
   router's hash ring forwards its key ranges to the next healthy
   sibling shard until a half-open probe succeeds.
+
+The backoff rule and the breaker are :mod:`repro.resilience`'s — the
+same discipline :class:`~repro.llm.resilient.ResilientGenerator`
+applies to model endpoints, applied to whole processes.
 
 Worker processes install a SIGTERM handler that runs the same
 graceful drain as Ctrl-C (finish admitted jobs, flush the shard
@@ -34,10 +35,10 @@ import os
 import signal
 import threading
 import time
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from dataclasses import dataclass
+from typing import Callable, List, Optional
 
-from repro.llm.resilient import stable_jitter
+from repro.resilience import CircuitBreaker, backoff
 from repro.service.client import ProverClient
 from repro.service.server import (
     ProverService,
@@ -47,7 +48,6 @@ from repro.service.server import (
 
 __all__ = [
     "Supervisor",
-    "SupervisorConfig",
     "WorkerSpec",
     "WorkerState",
     "worker_main",
@@ -147,19 +147,16 @@ def worker_main(spec: WorkerSpec, conn) -> None:
         service.close(timeout=30.0)
 
 
-@dataclass(frozen=True)
-class SupervisorConfig:
-    """Probe cadence, breaker, and restart-backoff knobs."""
-
-    probe_interval: float = 0.25  # seconds between health sweeps
-    probe_timeout: float = 2.0  # per-probe HTTP budget
-    boot_timeout: float = 30.0  # port-handshake budget per boot
-    breaker_threshold: int = 3  # consecutive failures that open it
-    breaker_cooldown: float = 1.0  # seconds unroutable before half-open
-    restart_base_delay: float = 0.05  # first restart backoff
-    restart_max_delay: float = 2.0  # cap on any restart backoff
-    restart_jitter: float = 0.25  # extra delay fraction (seeded)
-    seed: int = 0  # jitter seed (deterministic chaos runs)
+# Probe cadence, breaker, and restart backoff.
+PROBE_INTERVAL = 0.25  # seconds between health sweeps
+PROBE_TIMEOUT = 2.0  # per-probe HTTP budget
+BOOT_TIMEOUT = 30.0  # port-handshake budget per boot
+BREAKER_THRESHOLD = 3  # consecutive failures that open a worker's breaker
+BREAKER_COOLDOWN = 1.0  # seconds unroutable before a half-open probe
+RESTART_BASE_DELAY = 0.05  # first restart backoff
+RESTART_MAX_DELAY = 2.0  # cap on any restart backoff
+RESTART_JITTER = 0.25  # extra delay fraction (seeded)
+RESTART_SEED = 0  # jitter seed (deterministic chaos runs)
 
 
 class _Worker:
@@ -171,10 +168,12 @@ class _Worker:
         self.port: Optional[int] = None
         self.client: Optional[ProverClient] = None
         self.state = WorkerState.STARTING
-        self.failures = 0  # consecutive probe/transport failures
+        # Consecutive probe/transport failures; open while SUSPECT.
+        self.breaker = CircuitBreaker(
+            BREAKER_THRESHOLD, BREAKER_COOLDOWN, time.monotonic
+        )
         self.restarts = 0  # lifetime restarts of this slot
         self.restart_at: Optional[float] = None
-        self.suspect_until: Optional[float] = None
 
     def alive(self) -> bool:
         return self.process is not None and self.process.is_alive()
@@ -186,11 +185,9 @@ class Supervisor:
     def __init__(
         self,
         specs: List[WorkerSpec],
-        config: Optional[SupervisorConfig] = None,
         metrics=None,
         on_worker_lost: Optional[Callable[[int], None]] = None,
     ) -> None:
-        self.config = config or SupervisorConfig()
         self.metrics = metrics
         self.on_worker_lost = on_worker_lost
         self._workers = [_Worker(spec) for spec in specs]
@@ -228,11 +225,11 @@ class Supervisor:
         )
         process.start()
         child_conn.close()
-        if not parent_conn.poll(self.config.boot_timeout):
+        if not parent_conn.poll(BOOT_TIMEOUT):
             process.terminate()
             raise RuntimeError(
                 f"worker {worker.spec.index} did not report a port "
-                f"within {self.config.boot_timeout:g}s"
+                f"within {BOOT_TIMEOUT:g}s"
             )
         port = parent_conn.recv()
         parent_conn.close()
@@ -241,13 +238,12 @@ class Supervisor:
             worker.port = port
             worker.client = ProverClient(
                 f"http://{worker.spec.host}:{port}",
-                timeout=self.config.probe_timeout,
+                timeout=PROBE_TIMEOUT,
                 retries=2,
             )
             worker.state = WorkerState.HEALTHY
-            worker.failures = 0
+            worker.breaker.record_success()  # a fresh process starts closed
             worker.restart_at = None
-            worker.suspect_until = None
 
     def stop(self, timeout: Optional[float] = 30.0) -> bool:
         """Graceful fleet drain: SIGTERM, join, SIGKILL stragglers."""
@@ -281,7 +277,7 @@ class Supervisor:
     # ------------------------------------------------------------------
 
     def _probe_loop(self) -> None:
-        while not self._stop.wait(self.config.probe_interval):
+        while not self._stop.wait(PROBE_INTERVAL):
             for worker in self._workers:
                 try:
                     self._tend(worker)
@@ -298,11 +294,7 @@ class Supervisor:
             if worker.restart_at is not None and now >= worker.restart_at:
                 self._restart(worker)
             return
-        if (
-            worker.state == WorkerState.SUSPECT
-            and worker.suspect_until is not None
-            and now < worker.suspect_until
-        ):
+        if worker.state == WorkerState.SUSPECT and worker.breaker.is_open():
             return  # breaker open: wait out the cooldown
         # Healthy or half-open: probe.
         try:
@@ -312,13 +304,12 @@ class Supervisor:
             ok = False
         with self._lock:
             if ok:
-                worker.failures = 0
+                worker.breaker.record_success()
                 if worker.state in (
                     WorkerState.SUSPECT,
                     WorkerState.STARTING,
                 ):
                     worker.state = WorkerState.HEALTHY
-                    worker.suspect_until = None
             else:
                 self._note_failure(worker)
 
@@ -326,14 +317,15 @@ class Supervisor:
         """Process death detected: schedule a backed-off restart."""
         with self._lock:
             worker.state = WorkerState.DOWN
-            delay = min(
-                self.config.restart_max_delay,
-                self.config.restart_base_delay * 2**worker.restarts,
+            worker.restart_at = now + backoff(
+                worker.restarts,
+                RESTART_SEED,
+                worker.spec.index,
+                worker.restarts,
+                base=RESTART_BASE_DELAY,
+                cap=RESTART_MAX_DELAY,
+                jitter=RESTART_JITTER,
             )
-            delay *= 1.0 + self.config.restart_jitter * stable_jitter(
-                self.config.seed, worker.spec.index, worker.restarts
-            )
-            worker.restart_at = now + delay
         self._incr("cluster.worker_deaths")
         if self.on_worker_lost is not None:
             try:
@@ -352,15 +344,15 @@ class Supervisor:
             self._mark_down(worker, time.monotonic())
 
     def _note_failure(self, worker: _Worker) -> None:
-        """One probe/transport failure (lock held by callers or here)."""
-        worker.failures += 1
-        if worker.failures >= self.config.breaker_threshold:
+        """One probe/transport failure (lock held by callers or here).
+
+        Past the threshold every failure refreshes the cooldown; only
+        the HEALTHY -> SUSPECT transition counts as an opening.
+        """
+        if worker.breaker.record_failure():
             if worker.state == WorkerState.HEALTHY:
                 self._incr("cluster.breaker_opens")
             worker.state = WorkerState.SUSPECT
-            worker.suspect_until = (
-                time.monotonic() + self.config.breaker_cooldown
-            )
 
     # ------------------------------------------------------------------
     # Router-facing API
@@ -370,15 +362,17 @@ class Supervisor:
         """The router saw a transport failure against worker ``index``."""
         worker = self._workers[index]
         with self._lock:
-            self._note_failure(worker)
+            # A lost or disabled worker stays DOWN/DISABLED: SUSPECT would
+            # re-count its death or restart the disabled slot.
+            if worker.state not in (WorkerState.DOWN, WorkerState.DISABLED):
+                self._note_failure(worker)
 
     def report_success(self, index: int) -> None:
         worker = self._workers[index]
         with self._lock:
-            worker.failures = 0
+            worker.breaker.record_success()
             if worker.state == WorkerState.SUSPECT and worker.alive():
                 worker.state = WorkerState.HEALTHY
-                worker.suspect_until = None
 
     def routable(self, index: int) -> bool:
         worker = self._workers[index]
@@ -441,7 +435,7 @@ class Supervisor:
                         "state": w.state,
                         "port": w.port,
                         "restarts": w.restarts,
-                        "failures": w.failures,
+                        "failures": w.breaker.failures,
                     }
                     for w in self._workers
                 },

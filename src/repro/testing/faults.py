@@ -37,6 +37,9 @@ Faulted model calls fail at most ``max_failures`` consecutive times
 per prompt and then succeed, so a retrying client sees *transient*
 faults (keep ``max_failures`` below the retry budget for
 invisibility); ``kill`` and ``initfail`` are permanent by design.
+
+Every decision draws from :func:`repro.resilience.stable_jitter`, the
+same seeded hash that jitters retry backoff.
 """
 
 from __future__ import annotations
@@ -47,13 +50,14 @@ import os
 import time
 from dataclasses import dataclass, fields
 from pathlib import Path as _Path
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, Optional
 
 from repro.errors import (
     MalformedResponseError,
     RateLimitError,
     TransientModelError,
 )
+from repro.resilience import stable_jitter
 
 __all__ = [
     "FaultPlan",
@@ -70,12 +74,45 @@ CLUSTER_FAULTS_ENV_VAR = "REPRO_CLUSTER_FAULTS"
 _RATE_KINDS = ("transient", "ratelimit", "stall", "malformed", "truncate")
 
 
-def _fraction(*parts: object) -> float:
-    """Deterministic hash of the parts, mapped to [0, 1)."""
-    digest = hashlib.sha256(
-        "\x1f".join(str(p) for p in parts).encode("utf-8")
-    ).digest()
-    return int.from_bytes(digest[:8], "big") / 2**64
+# How a spec value is cast, by the annotation of its plan field.
+_CASTS: Dict[str, Callable[[str], object]] = {
+    "int": int,
+    "float": float,
+    "bool": lambda value: value not in ("0", "false", "no", ""),
+    "Optional[str]": str,
+}
+
+
+def _parse_spec(cls, spec: str, unknown: str):
+    """Build the plan dataclass ``cls`` from a ``key=value,...`` spec.
+
+    ``unknown`` names what an unrecognised key is, in the error.
+    """
+    types = {f.name: f.type for f in fields(cls)}
+    kwargs: Dict[str, object] = {}
+    for token in spec.split(","):
+        token = token.strip()
+        if not token:
+            continue
+        if "=" not in token:
+            raise ValueError(
+                f"bad {cls.__name__} spec token {token!r} "
+                "(expected key=value)"
+            )
+        key, _, value = token.partition("=")
+        key = key.strip()
+        if key not in types:
+            raise ValueError(
+                f"unknown {unknown} {key!r}; known keys: "
+                f"{', '.join(sorted(types))}"
+            )
+        kwargs[key] = _CASTS[types[key]](value.strip())
+    return cls(**kwargs)
+
+
+def _spec_or_env(spec: Optional[str], env_var: str) -> Optional[str]:
+    """The spec string, else the environment's; None when neither."""
+    return spec or os.environ.get(env_var) or None
 
 
 @dataclass(frozen=True)
@@ -101,49 +138,20 @@ class FaultPlan:
     @staticmethod
     def parse(spec: str) -> "FaultPlan":
         """Parse a ``key=value,key=value`` spec string."""
-        kwargs: Dict[str, object] = {}
-        casts = {f.name: f for f in fields(FaultPlan)}
-        for token in spec.split(","):
-            token = token.strip()
-            if not token:
-                continue
-            if "=" not in token:
-                raise ValueError(
-                    f"bad fault spec token {token!r} (expected key=value)"
-                )
-            key, _, value = token.partition("=")
-            key = key.strip()
-            value = value.strip()
-            if key not in casts:
-                known = ", ".join(sorted(casts))
-                raise ValueError(
-                    f"unknown fault kind {key!r}; known keys: {known}"
-                )
-            if key == "kill":
-                kwargs[key] = value
-            elif key == "initfail":
-                kwargs[key] = value not in ("0", "false", "no", "")
-            elif key in ("seed", "max_failures"):
-                kwargs[key] = int(value)
-            else:
-                rate = float(value)
-                if key in _RATE_KINDS + ("crash",) and not 0.0 <= rate <= 1.0:
-                    raise ValueError(
-                        f"fault rate {key}={rate} outside [0, 1]"
-                    )
-                kwargs[key] = rate
-        return FaultPlan(**kwargs)  # type: ignore[arg-type]
+        plan = _parse_spec(FaultPlan, spec, "fault kind")
+        for kind in _RATE_KINDS + ("crash",):
+            rate = getattr(plan, kind)
+            if not 0.0 <= rate <= 1.0:
+                raise ValueError(f"fault rate {kind}={rate} outside [0, 1]")
+        return plan
 
     @staticmethod
     def from_spec(spec: Optional[str]) -> Optional["FaultPlan"]:
         """Build a plan from a spec string, falling back to the
         ``REPRO_FAULTS`` environment variable; None when neither is
         set (the common, fault-free case)."""
-        if spec is None or spec == "":
-            spec = os.environ.get(FAULTS_ENV_VAR) or None
-        if spec is None:
-            return None
-        return FaultPlan.parse(spec)
+        spec = _spec_or_env(spec, FAULTS_ENV_VAR)
+        return None if spec is None else FaultPlan.parse(spec)
 
     # ------------------------------------------------------------------
     # Decisions
@@ -159,7 +167,7 @@ class FaultPlan:
         either always faulted (with one kind) or never — which is what
         makes retried queries meaningful.
         """
-        frac = _fraction(self.seed, "model", context, prompt)
+        frac = stable_jitter(self.seed, "model", context, prompt)
         floor = 0.0
         for kind in _RATE_KINDS:
             rate = getattr(self, kind)
@@ -173,7 +181,7 @@ class FaultPlan:
         succeeding (1..max_failures)."""
         if self.max_failures <= 1:
             return 1
-        frac = _fraction(self.seed, "failures", context, prompt)
+        frac = stable_jitter(self.seed, "failures", context, prompt)
         return 1 + int(frac * self.max_failures) % self.max_failures
 
     def should_kill_worker(self, theorem: str, attempt: int) -> bool:
@@ -186,7 +194,7 @@ class FaultPlan:
         if self.kill and fnmatch.fnmatchcase(theorem, self.kill):
             return True
         if self.crash and attempt == 0:
-            return _fraction(self.seed, "crash", theorem) < self.crash
+            return stable_jitter(self.seed, "crash", theorem) < self.crash
         return False
 
     def describe(self) -> str:
@@ -297,39 +305,12 @@ class ClusterFaultPlan:
 
     @staticmethod
     def parse(spec: str) -> "ClusterFaultPlan":
-        kwargs: Dict[str, object] = {}
-        known = {f.name for f in fields(ClusterFaultPlan)}
-        for token in spec.split(","):
-            token = token.strip()
-            if not token:
-                continue
-            if "=" not in token:
-                raise ValueError(
-                    f"bad cluster fault token {token!r} (expected key=value)"
-                )
-            key, _, value = token.partition("=")
-            key = key.strip()
-            value = value.strip()
-            if key not in known:
-                raise ValueError(
-                    f"unknown cluster fault {key!r}; known: "
-                    f"{', '.join(sorted(known))}"
-                )
-            if key in ("kill_job", "stall_job"):
-                kwargs[key] = value
-            elif key in ("seed", "kill_times", "corrupt_journal"):
-                kwargs[key] = int(value)
-            else:
-                kwargs[key] = float(value)
-        return ClusterFaultPlan(**kwargs)  # type: ignore[arg-type]
+        return _parse_spec(ClusterFaultPlan, spec, "cluster fault")
 
     @staticmethod
     def from_spec(spec: Optional[str]) -> Optional["ClusterFaultPlan"]:
-        if spec is None or spec == "":
-            spec = os.environ.get(CLUSTER_FAULTS_ENV_VAR) or None
-        if spec is None:
-            return None
-        return ClusterFaultPlan.parse(spec)
+        spec = _spec_or_env(spec, CLUSTER_FAULTS_ENV_VAR)
+        return None if spec is None else ClusterFaultPlan.parse(spec)
 
     def to_spec(self) -> str:
         """A spec string that parses back to this plan (worker handoff)."""
@@ -421,7 +402,7 @@ class FaultyChecker:
         return getattr(self.inner, name)
 
     def check(self, state, tactic_text: str, seen_keys=None):
-        if self.plan.stall and _fraction(
+        if self.plan.stall and stable_jitter(
             self.plan.seed, "checker", tactic_text
         ) < self.plan.stall:
             self.sleep(self.plan.stall_seconds)

@@ -188,7 +188,7 @@ class TestCircuitBreaker:
         out = wrapper.generate("q", 4)  # probe succeeds -> closed
         assert [c.tactic for c in out] == ["auto."]
         assert not wrapper.breaker_open()
-        assert wrapper._consecutive_failures == 0
+        assert wrapper.breaker.failures == 0
 
     def test_half_open_failure_reopens_immediately(self):
         model = ScriptedModel(errors=[TransientModelError("500")] * 100)
