@@ -52,6 +52,9 @@ class Environment:
         # reduction memo keys on (env, generation, term) so entries
         # cached mid-load never survive a later declaration.
         self.generation: int = 0
+        # auto's hint index (repro.tactics.auto_.hint_index), built on
+        # first use and rebuilt when hint_state() moves on.
+        self.hint_index: Optional[object] = None
 
     # ------------------------------------------------------------------
     # Declarations
@@ -154,6 +157,21 @@ class Environment:
                 raise EnvironmentError_(f"hint for unknown predicate: {name}")
             if name not in self.hint_constructors:
                 self.hint_constructors.append(name)
+
+    def hint_state(self) -> Tuple[int, int, int]:
+        """A stamp that changes whenever auto's hint database can.
+
+        Adding a hint changes no reduction, so it leaves ``generation``
+        alone; the stamp adds the lengths of the two hint lists, which
+        only ever grow, so equal stamps mean equal hint lists.
+        ``generation`` itself covers the fixpoints and definitions that
+        decide which hint heads can reduce.
+        """
+        return (
+            self.generation,
+            len(self.hint_resolve),
+            len(self.hint_constructors),
+        )
 
     def auto_hints(self) -> List[Tuple[str, Term]]:
         """All (name, statement) pairs auto may apply, in declaration order."""

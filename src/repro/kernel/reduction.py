@@ -22,7 +22,7 @@ finite well before that).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 from repro import deadline as _deadline
 from repro.errors import TacticTimeout
@@ -48,7 +48,7 @@ from repro.kernel.terms import (
     app,
 )
 
-__all__ = ["Budget", "simpl", "whnf", "unfold", "make_whnf"]
+__all__ = ["Budget", "simpl", "whnf", "unfold", "make_whnf", "rigid_head"]
 
 DEFAULT_BUDGET = 20_000
 
@@ -276,6 +276,46 @@ def _whnf(env: Environment, term: Term, budget: Budget) -> Term:
             continue
         return term
     return term
+
+
+# Heads that ``_whnf`` never reduces and that ``unify`` compares by
+# node class alone.
+_CONNECTIVES = (Eq, And, Or, TrueP, FalseP, Exists, Forall, Impl)
+
+
+def rigid_head(
+    env: Environment, term: Term, bound: FrozenSet[str] = frozenset()
+) -> Optional[object]:
+    """The head of ``term`` if no weak-head reduction can change it.
+
+    The key is the head :class:`Const` or :class:`Var` node (of ``term``
+    itself or of its application spine), or the node class of a
+    connective.  It is ``None`` ("flexible") when a reduction or an
+    instantiation may still replace the head: a metavariable, a name in
+    ``bound`` (a statement binder that becomes a metavariable), a
+    lambda (beta), or a fixpoint (iota) or abbreviation (delta)
+    constant.
+
+    This mirrors :func:`_whnf` rule for rule, and ``auto`` relies on it
+    being exact: when two terms have rigid heads that differ, ``_whnf``
+    leaves both unchanged, so ``unify`` fails once its ``_retry_whnf``
+    fallback makes no progress.  Whenever ``_whnf`` gains a reduction
+    rule, this function must treat the newly reducible heads as
+    flexible.
+    """
+    if term.__class__ is App:
+        term = term.fn
+    cls = term.__class__
+    if cls is Const:
+        name = term.name
+        if name in env.fixpoints or name in env.abbreviations:
+            return None
+        return term
+    if cls is Var:
+        return None if term.name in bound else term
+    if cls in _CONNECTIVES:
+        return cls
+    return None
 
 
 def make_whnf(env: Environment):

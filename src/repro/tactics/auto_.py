@@ -20,12 +20,13 @@ runs ``auto`` at the leaves, leaving residual subgoals like Coq's.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import TacticError, UnificationError
+from repro.kernel import cache as _cache
 from repro.kernel.env import Environment
 from repro.kernel.goals import Goal, HypDecl, ProofState, VarDecl
-from repro.kernel.reduction import make_whnf, whnf
+from repro.kernel.reduction import make_whnf, rigid_head
 from repro.kernel.subst import alpha_eq, fresh_name, subst_var
 from repro.kernel.terms import (
     And,
@@ -38,17 +39,75 @@ from repro.kernel.terms import (
     Term,
     TrueP,
     Var,
-    free_vars,
     is_neg,
+    meta_set,
     metas_of,
     neg_body,
 )
 from repro.kernel.unify import MetaStore, unify
 from repro.tactics.ast import Auto, Intuition, Trivial
 from repro.tactics.base import check_deadline, executor
-from repro.tactics.common import instantiate_statement
+from repro.tactics.common import instantiate_statement, strip_statement
 
 _DEFAULT_DEPTH = 5
+
+
+def _conclusion_head(env: Environment, statement: Term) -> Optional[object]:
+    """The rigid head of ``statement``'s conclusion, or ``None``."""
+    stripped = strip_statement(statement)
+    return rigid_head(env, stripped.conclusion, stripped.binders)
+
+
+class HintIndex:
+    """An environment's auto hints, bucketed by conclusion head.
+
+    ``candidates(head)`` keeps the declaration order of
+    :meth:`Environment.auto_hints` and drops only the hints whose
+    conclusion has a rigid head other than ``head``: those can never
+    unify with a goal headed by ``head`` (see :func:`rigid_head`).
+    """
+
+    def __init__(self, env: Environment) -> None:
+        self.state = env.hint_state()
+        hints = env.auto_hints()
+        self.names = tuple(name for name, _ in hints)
+        self.statements = tuple(statement for _, statement in hints)
+        heads = [_conclusion_head(env, s) for s in self.statements]
+        self._flexible = tuple(
+            s for s, head in zip(self.statements, heads) if head is None
+        )
+        self._by_head: Dict[object, Tuple[Term, ...]] = {}
+        for head in heads:
+            if head is not None and head not in self._by_head:
+                self._by_head[head] = tuple(
+                    s
+                    for s, other in zip(self.statements, heads)
+                    if other is None or other == head
+                )
+
+    def candidates(self, head: Optional[object]) -> Tuple[Term, ...]:
+        if head is None:
+            return self.statements
+        return self._by_head.get(head, self._flexible)
+
+
+def hint_index(env: Environment) -> HintIndex:
+    """``env``'s hint index, rebuilt on first use after any change.
+
+    Built lazily, so loading a project never pays for it; a new
+    declaration bumps ``generation`` and a new hint lengthens a hint
+    list, and either one changes :meth:`Environment.hint_state`.
+    """
+    index = env.hint_index
+    if index is None or index.state != env.hint_state():
+        index = HintIndex(env)
+        env.hint_index = index
+    return index
+
+
+# Goals ``auto`` failed to close during this task, valued by the
+# deepest depth that failed; see :meth:`_Prover._memo_key`.
+_FAILED = _cache.BoundedCache("auto_failed", capacity=16_384)
 
 
 class _Prover:
@@ -63,7 +122,14 @@ class _Prover:
         self.store = store
         self.allow_metas = allow_metas
         self.whnf = make_whnf(env)
-        self.hints = list(extra_hints) + env.auto_hints()
+        self.index = hint_index(env)
+        self.extra = [
+            (statement, _conclusion_head(env, statement))
+            for _, statement in extra_hints
+        ]
+        self.hint_names = (
+            tuple(name for name, _ in extra_hints) + self.index.names
+        )
 
     # ------------------------------------------------------------------
 
@@ -74,6 +140,43 @@ class _Prover:
             return True
         if isinstance(concl, (Forall, Impl)):
             return self.solve(self._intro(goal, concl), depth)
+        key = self._memo_key(goal, concl)
+        if key is not None:
+            failed = _FAILED.get(key)
+            if failed is not None and failed >= depth:
+                return False
+        if self._solve(goal, concl, depth):
+            return True
+        if key is not None:
+            _FAILED.put(key, depth)
+        return False
+
+    def _memo_key(self, goal: Goal, concl: Term) -> Optional[tuple]:
+        """The failure-memo key of ``goal``, or ``None`` to bypass it.
+
+        Only ``auto`` on a metavariable-free goal uses the memo.  There
+        every premise it tries is metavariable-free too, so its verdict
+        depends on the goal, the hints and the depth alone, and it can
+        only improve with depth: a failure at depth ``d`` answers every
+        query at ``d`` or below.  A failed :meth:`solve` also leaves the
+        store as it found it.  ``eauto`` solves metavariables across
+        premises without backtracking, so its verdicts are not monotone
+        in depth and it never reads or writes the memo.
+        """
+        if self.allow_metas or not _cache.enabled() or meta_set(concl):
+            return None
+        for decl in goal.decls:
+            if isinstance(decl, HypDecl) and meta_set(decl.prop):
+                return None
+        return (
+            self.env,
+            self.env.generation,
+            self.hint_names,
+            goal.decls,
+            concl,
+        )
+
+    def _solve(self, goal: Goal, concl: Term, depth: int) -> bool:
         if self._by_assumption(goal, concl):
             return True
         if self._by_reflexivity(concl):
@@ -82,16 +185,31 @@ class _Prover:
             return True
         if depth <= 0:
             return False
-        candidates: List[Term] = [
-            d.prop for d in goal.decls if isinstance(d, HypDecl)
-        ]
-        candidates.extend(stmt for _, stmt in self.hints)
-        for statement in candidates:
+        for statement in self._candidates(goal, concl):
             snapshot = self.store.snapshot()
             if self._try_apply(goal, statement, concl, depth):
                 return True
             self.store.restore(snapshot)
         return False
+
+    def _candidates(self, goal: Goal, concl: Term) -> List[Term]:
+        """Hypotheses, then hints, that may conclude ``concl``, in order.
+
+        A candidate is left out only when its conclusion and ``concl``
+        have different rigid heads, so that ``unify`` would fail on it.
+        Leaving out a try that fails changes nothing: a failed try is
+        rolled back, metavariable counter included.
+        """
+        head = rigid_head(self.env, concl)
+        out: List[Term] = []
+        for decl in goal.decls:
+            if isinstance(decl, HypDecl):
+                statement = self.store.resolve(decl.prop)
+                if _compatible(head, _conclusion_head(self.env, statement)):
+                    out.append(statement)
+        out.extend(s for s, other in self.extra if _compatible(head, other))
+        out.extend(self.index.candidates(head))
+        return out
 
     # ------------------------------------------------------------------
 
@@ -149,7 +267,7 @@ class _Prover:
         self, goal: Goal, statement: Term, concl: Term, depth: int
     ) -> bool:
         metas, premises, conclusion = instantiate_statement(
-            self.store.resolve(statement), self.store
+            statement, self.store
         )
         try:
             unify(conclusion, concl, self.store, self.whnf)
@@ -168,6 +286,10 @@ class _Prover:
                 if not self.store.is_solved(meta.uid):
                     return False
         return True
+
+
+def _compatible(head: Optional[object], other: Optional[object]) -> bool:
+    return head is None or other is None or head == other
 
 
 def _run_auto(

@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple, Union
 
 from repro.errors import TacticError, TypeError_, UnificationError
 from repro.kernel.env import Environment
@@ -24,6 +25,8 @@ from repro.kernel.unify import MetaStore, unify
 
 __all__ = [
     "statement_of_name",
+    "Stripped",
+    "strip_statement",
     "instantiate_statement",
     "elaborate_in_goal",
     "infer_in_goal",
@@ -53,32 +56,72 @@ def statement_of_name(
     return "lemma", statement
 
 
+@dataclass(frozen=True)
+class Stripped:
+    """A statement with its leading ``forall``/``->`` prefix peeled off.
+
+    ``steps`` lists the prefix in order: a binder name (``str``) for each
+    ``forall`` and a premise term for each ``->``.  Nothing is
+    substituted yet, so a premise or the conclusion still mentions the
+    binders as variables; ``binders`` is the set of their names.
+    """
+
+    steps: Tuple[Union[str, Term], ...]
+    binders: FrozenSet[str]
+    conclusion: Term
+
+
+def strip_statement(statement: Term) -> Stripped:
+    """The :class:`Stripped` form of ``statement``, cached on the node.
+
+    Quantifiers *behind* premises are stripped too (``forall x, P x ->
+    forall y, Q``), matching how ``apply`` digs for the final
+    conclusion.
+    """
+    cached = statement.__dict__.get("_stripped")
+    if cached is None:
+        steps: List[Union[str, Term]] = []
+        current = statement
+        while True:
+            if isinstance(current, Forall):
+                steps.append(current.var)
+                current = current.body
+            elif isinstance(current, Impl):
+                steps.append(current.lhs)
+                current = current.rhs
+            else:
+                break
+        binders = frozenset(s for s in steps if isinstance(s, str))
+        cached = Stripped(tuple(steps), binders, current)
+        object.__setattr__(statement, "_stripped", cached)
+    return cached
+
+
 def instantiate_statement(
     statement: Term, store: MetaStore
 ) -> Tuple[List[Meta], Tuple[Term, ...], Term]:
     """Strip leading quantifiers/premises off a statement.
 
-    Universal binders become fresh metavariables; implication premises
-    are collected.  Quantifiers *behind* premises are also stripped
-    (``forall x, P x -> forall y, Q``), matching how ``apply`` digs for
-    the final conclusion.
+    Universal binders become fresh metavariables, allocated in binder
+    order; implication premises are collected.  Each premise and the
+    conclusion take one substitution pass over the binders in scope at
+    that point; of two binders with the same name, the later one
+    shadows the earlier, as it does in the statement.
 
     Returns ``(metas, premises, conclusion)``.
     """
+    stripped = strip_statement(statement)
     metas: List[Meta] = []
     premises: List[Term] = []
-    current = statement
-    while True:
-        if isinstance(current, Forall):
-            meta = store.fresh(current.var)
+    mapping: Dict[str, Term] = {}
+    for step in stripped.steps:
+        if isinstance(step, str):
+            meta = store.fresh(step)
             metas.append(meta)
-            current = subst_var(current.body, current.var, meta)
-        elif isinstance(current, Impl):
-            premises.append(current.lhs)
-            current = current.rhs
+            mapping[step] = meta
         else:
-            break
-    return metas, tuple(premises), current
+            premises.append(subst_vars(step, mapping))
+    return metas, tuple(premises), subst_vars(stripped.conclusion, mapping)
 
 
 def elaborate_in_goal(
